@@ -17,15 +17,11 @@ from . import dos, io, regularity, tracemap
 from .calibration import KDE_BANDWIDTHS, L2_FLAG_GROWTH
 from .eigensolve import cached_spectrum
 from .intervals import box_dimension, gap_report, lebesgue_length, sumset
-from .model import ModelParams
+from .model import ModelParams, ParameterError
 from .separable2d import eigs2d_from_sums
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
-
-
-class UsageError(Exception):
-    """Parameter outside a command's accepted envelope."""
 
 
 def _model(args, which=1) -> ModelParams:
@@ -40,7 +36,7 @@ def _spectrum(args, which=1):
 
 def cmd_spectrum1d(args, out: Path):
     if args.n > 10**5:
-        raise UsageError("box size capped at 1e5")
+        raise ParameterError("box size capped at 1e5")
     t0 = time.time()
     spec = _spectrum(args)
     f = io.write_csv(out / "spectrum1d.csv", ["eigenvalue"],
@@ -67,6 +63,8 @@ def cmd_tracemap(args, out: Path):
     t0 = time.time()
     cover = tracemap.spectrum_cover(args.lam, depth=args.depth,
                                     max_iter=args.max_iter)
+    if cover.empty:
+        raise SystemExit("empty cover: increase depth or reduce max_iter")
     f = io.intervals_to_csv(out / "cover.csv", cover)
     extra = {
         "total_length": io.fmt(lebesgue_length(cover)),
@@ -75,7 +73,7 @@ def cmd_tracemap(args, out: Path):
         "outer_approximation_caveat":
             "cells retained by three bounded-orbit probes; not a rigorous enclosure",
     }
-    if not cover.empty and len(cover) >= 2:
+    if len(cover) >= 2:
         scales = [2.0 ** -j for j in range(2, 9)]
         slope, err = box_dimension(cover, scales)
         extra["box_dimension"] = io.fmt(slope)
@@ -167,7 +165,7 @@ def cmd_verify_tensor(args, out: Path):
 
     t0 = time.time()
     if args.n > 12:
-        raise UsageError("verify-tensor caps the box at N=12 (dense oracle)")
+        raise ParameterError("verify-tensor caps the box at N=12 (dense oracle)")
     spec2d = BoxSpec2D(_model(args, 1), _model(args, 2))
     sums = eigs2d_from_sums(_spectrum(args, 1), _spectrum(args, 2))
     dense = eigs2d_dense(spec2d, start=args.start)
@@ -296,7 +294,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         args.func(args, out)
-    except UsageError as err:
+    except ParameterError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return USAGE_EXIT
     except (SystemExit, RuntimeError, ValueError) as err:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .io import atomic_write
 from .model import ModelParams, potential_vector
 
 _JACOBI_MAX_DIM = 256
@@ -181,13 +182,31 @@ def _cache_key(p: ModelParams, start: int, tol: float) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _read_cached(path: Path, n: int) -> np.ndarray | None:
+    """Cached eigenvalues, or None when the file is missing or unreadable.
+
+    Unreadable covers anything np.load rejects and any array that is not a
+    sorted, finite float64 vector of length n; the checks are O(n).
+    """
+    try:
+        eigs = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if (not isinstance(eigs, np.ndarray) or eigs.shape != (n,)
+            or eigs.dtype != np.float64 or not np.all(np.isfinite(eigs))
+            or np.any(eigs[1:] < eigs[:-1])):
+        return None
+    return eigs
+
+
 def cached_spectrum(p: ModelParams, start: int = 0, tol: float | None = None,
                     cache_dir: str | os.PathLike | None = None) -> Spectrum1D:
     """Eigenvalues of the Fibonacci box, cached on disk when a dir is given.
 
     Cache files are sorted float64 arrays keyed by a content hash of
     (lambda, omega, alpha, N, start, tol); the QUASISPEC_CACHE environment
-    variable supplies a default directory.
+    variable supplies a default directory.  An unreadable cache file counts
+    as a miss and is replaced.
     """
     m = fibonacci_tridiag(p, start=start)
     if tol is None:
@@ -196,13 +215,11 @@ def cached_spectrum(p: ModelParams, start: int = 0, tol: float | None = None,
         cache_dir = os.environ.get("QUASISPEC_CACHE")
     if cache_dir is None:
         return eigenvalues_bisect(m, tol=tol, params=p)
-    cache = Path(cache_dir)
-    cache.mkdir(parents=True, exist_ok=True)
-    path = cache / f"spectrum1d-{_cache_key(p, start, tol)}.npy"
-    if path.exists():
-        return Spectrum1D(np.load(path), params=p, tol=tol)
+    path = Path(cache_dir) / f"spectrum1d-{_cache_key(p, start, tol)}.npy"
+    eigs = _read_cached(path, p.n_sites)
+    if eigs is not None:
+        return Spectrum1D(eigs, params=p, tol=tol)
     spec = eigenvalues_bisect(m, tol=tol, params=p)
-    tmp = path.with_suffix(".tmp.npy")
-    np.save(tmp, spec.eigenvalues)
-    os.replace(tmp, path)
+    with atomic_write(path) as fh:
+        np.save(fh, spec.eigenvalues)
     return spec

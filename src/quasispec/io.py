@@ -5,10 +5,12 @@ significant digits so doubles round-trip exactly.  Every primary output gets
 a JSON manifest sidecar with the full parameter map and content hashes.
 """
 
+import contextlib
 import hashlib
 import json
 import os
 import time
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -20,14 +22,27 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+CSV_BLOCK_ROWS = 8192
+
+
 def write_csv(path, header, rows):
-    """Atomically write rows of floats (or strings) under a header line."""
+    """Atomically write numeric rows under a header line.
+
+    rows may be any iterable of equal-length numeric rows (tuples, arrays,
+    the rows of a 2-D array); it is consumed once, in blocks of
+    CSV_BLOCK_ROWS rows, each formatted by a single '%.17g' format, so
+    memory stays bounded by one block whatever the row count.
+    """
     path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(x if isinstance(x, str) else fmt(x) for x in row))
-    data = "\n".join(lines) + "\n"
-    _atomic_write(path, data.encode())
+    cols = len(header)
+    line = ",".join(["%.17g"] * cols) + "\n"
+    rows = iter(rows)
+    with atomic_write(path) as fh:
+        fh.write((",".join(header) + "\n").encode())
+        while block := list(islice(rows, CSV_BLOCK_ROWS)):
+            if set(map(len, block)) != {cols}:
+                raise ValueError(f"every CSV row must have {cols} values")
+            fh.write((line * len(block) % tuple(chain.from_iterable(block))).encode())
     return path
 
 
@@ -51,7 +66,6 @@ def file_hash(path) -> str:
 def write_manifest(path, command: str, params: dict, outputs, duration: float,
                    seed=None, extra: dict | None = None):
     """JSON sidecar recording the run; outputs must already exist."""
-    path = Path(path)
     manifest = {
         "command": command,
         "params": {k: str(v) for k, v in params.items()},
@@ -64,21 +78,37 @@ def write_manifest(path, command: str, params: dict, outputs, duration: float,
     }
     if extra:
         manifest.update(extra)
-    _atomic_write(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
-    return path
+    return write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def write_text(path, text: str):
     """Atomic text write (write-then-rename)."""
-    _atomic_write(Path(path), text.encode())
+    with atomic_write(path) as fh:
+        fh.write(text.encode())
     return Path(path)
 
 
-def _atomic_write(path: Path, data: bytes):
+@contextlib.contextmanager
+def atomic_write(path):
+    """Binary file handle whose contents replace path only on success.
+
+    The data goes to a temporary file with a unique name in the same
+    directory, which is renamed over path once written; concurrent writers
+    therefore never share a partial file, and readers see either the old or
+    the new contents in full.  On error the temporary file is removed.
+    """
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    # exclusive create, not tempfile.mkstemp: mkstemp makes the file 0600,
+    # which the rename would carry over to every artefact
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def measure_to_csv(path, measure):

@@ -6,6 +6,7 @@ alpha the golden-ratio conjugate by default.  A substitution-word generator
 circle-map coding.
 """
 
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 
@@ -20,11 +21,15 @@ _EDGE_WINDOW = 1e-12
 _MAX_SUBSTITUTION_DEPTH = 30
 
 
+class ParameterError(ValueError):
+    """A parameter outside its accepted range (a usage error, not a numeric one)."""
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters of a finite Fibonacci Hamiltonian box.
 
-    lam     coupling constant, >= 0
+    lam     coupling constant, finite and >= 0
     omega   phase in [0, 1)
     alpha   rotation number in (0, 1); golden-ratio conjugate by default
     n_sites box size N >= 1
@@ -36,14 +41,14 @@ class ModelParams:
     n_sites: int = 1
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("coupling must be >= 0")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ParameterError("coupling must be finite and >= 0")
         if not 0.0 <= self.omega < 1.0:
-            raise ValueError("phase must lie in [0, 1)")
+            raise ParameterError("phase must lie in [0, 1)")
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError("rotation number must lie in (0, 1)")
+            raise ParameterError("rotation number must lie in (0, 1)")
         if self.n_sites < 1:
-            raise ValueError("box size must be >= 1")
+            raise ParameterError("box size must be >= 1")
 
 
 def _frac_exact(n, alpha, omega):

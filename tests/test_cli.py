@@ -161,6 +161,34 @@ def test_parameter_cap_is_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [["--lambda", "nan"], ["--lambda", "inf"],
+                                   ["--lambda", "-1"], ["--n", "0"]])
+def test_invalid_model_parameter_is_usage_error(tmp_path, capsys, flags):
+    code, out = run(tmp_path, "spectrum1d", "--n", "50", *flags)
+    assert code == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not (out / "spectrum1d.csv").exists()
+
+
+def test_corrupt_cache_file_is_replaced(tmp_path):
+    cache = tmp_path / "cache"
+    args = ["spectrum1d", "--lambda", "1", "--n", "40", "--cache", str(cache)]
+    assert main([*args, "--out", str(tmp_path / "o1")]) == 0
+    (path,) = cache.glob("*.npy")
+    path.write_bytes(b"\x80\x04garbage")
+    assert main([*args, "--out", str(tmp_path / "o2")]) == 0
+    assert ((tmp_path / "o1" / "spectrum1d.csv").read_bytes()
+            == (tmp_path / "o2" / "spectrum1d.csv").read_bytes())
+    assert np.load(path).shape == (40,)
+
+
+def test_tracemap_empty_cover_is_numeric_failure(tmp_path, capsys):
+    code, out = run(tmp_path, "tracemap", "--lambda", "3")
+    assert code == 3
+    assert "empty cover" in capsys.readouterr().err
+    assert not (out / "cover.csv").exists()
+
+
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     assert "spectrum1d" in capsys.readouterr().out

@@ -186,6 +186,111 @@ def test_kde_validates_bandwidth_and_grid():
         kde_density(bernoulli(), 0.1, grid=(-0.5, 2.0, 0.01))  # uncovered support
 
 
+def kde_loop(m, bandwidth, grid=None):
+    """Reference KDE: one renormalised triangular kernel per atom.
+
+    The per-atom form that kde_density's binned convolution replaced; each
+    kernel is scaled so its on-grid trapezoid mass equals the atom weight.
+    """
+    lo, hi = m.support
+    if grid is None:
+        step = bandwidth / 8.0
+        grid = (lo - bandwidth - step, hi + bandwidth + step, step)
+    gmin, gmax, step = grid
+    x = np.arange(gmin, gmax + 0.5 * step, step)
+    vals = np.zeros_like(x)
+    half = int(np.ceil(bandwidth / step)) + 1
+    for p, w in zip(m.positions, m.weights):
+        c = int(round((p - gmin) / step))
+        sl = slice(max(0, c - half), min(x.size, c + half + 1))
+        k = np.maximum(0.0, 1.0 - np.abs(x[sl] - p) / bandwidth) / bandwidth
+        mass = np.trapezoid(k, dx=step)
+        if mass > 0:
+            vals[sl] += w * k / mass
+    return x, vals
+
+
+def assert_kde_matches_loop(m, bandwidth, grid=None, rel=1e-12):
+    d = kde_density(m, bandwidth, grid)
+    x, ref = kde_loop(m, bandwidth, grid)
+    assert np.array_equal(d.grid, x)
+    assert np.max(np.abs(d.values - ref)) <= rel * np.max(ref)
+
+
+def _shared_grid(m, step=calibration.KDE_STEP):
+    # the grid l2_bandwidth_trend uses for the registered ladder
+    lo, hi = m.support
+    h = max(calibration.KDE_BANDWIDTHS)
+    return (lo - h - step, hi + h + step, step)
+
+
+def test_kde_matches_loop_on_dos_convolution():
+    ms = []
+    for lam, omega in ((0.1, 0.3), (0.4, 0.7)):
+        p = ModelParams(lam, omega=omega, n_sites=200)
+        ms.append(empirical_measure(eigenvalues_bisect(fibonacci_tridiag(p), params=p)))
+    conv = convolve(*ms)
+    for h in calibration.KDE_BANDWIDTHS:
+        assert_kde_matches_loop(conv, h)                       # dos2d CSV grids
+        assert_kde_matches_loop(conv, h, _shared_grid(conv, min(calibration.KDE_BANDWIDTHS) / 16))
+
+
+def test_kde_matches_loop_on_criterion_10_cantor_squares():
+    for cfg in (calibration.KDE_STABLE, calibration.KDE_SINGULAR):
+        c = cantor_lebesgue(cfg["ratio"], cfg["depth"])
+        sq = convolve(c, c)
+        for h in calibration.KDE_BANDWIDTHS:
+            assert_kde_matches_loop(sq, h, _shared_grid(sq))
+
+
+def test_kde_matches_loop_on_single_atoms():
+    h, step = 2.0 ** -4, 2.0 ** -7
+    grid = (-1.0, 1.0, step)
+    for x in (0.0, 3 * step, 0.3, 0.3 + 1e-13, 5 * step - 1e-15, -0.123456789):
+        assert_kde_matches_loop(delta(x), h, grid, rel=1e-13)
+    # atoms exactly one bandwidth from either end of the grid
+    ends = AtomicMeasure([-1.0 + h, 0.2, 1.0 - h], [0.25, 0.5, 0.25])
+    assert_kde_matches_loop(ends, h, grid, rel=1e-13)
+    assert_kde_matches_loop(ends, h, (-1.0, 1.0, h / 16), rel=1e-13)
+    d = kde_density(ends, h, grid)
+    assert d.values[0] == d.values[-1] == 0.0
+    assert d.integral() == pytest.approx(1.0, abs=1e-14)
+
+
+def test_kde_rejects_non_integer_bandwidth_ratio():
+    with pytest.raises(ValueError, match="whole number"):
+        kde_density(delta(), 0.1, grid=(-1.0, 1.0, 0.1 / 7.5))
+    with pytest.raises(ValueError, match="whole number"):
+        kde_density(delta(), 0.1, grid=(-1.0, 1.0, 0.1 / 8 * (1 + 1e-8)))
+    kde_density(delta(), 0.1, grid=(-1.0, 1.0, 0.1 / 8 * (1 + 1e-11)))
+
+
+def test_kde_property_binned_matches_loop():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        pos=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=30),
+        raw_w=st.lists(st.floats(0.01, 1.0), min_size=30, max_size=30),
+        h=st.floats(2.0 ** -9, 1.0),
+        r=st.sampled_from([4, 8, 16, 64]),
+    )
+    def check(pos, raw_w, h, r):
+        w = np.asarray(raw_w[:len(pos)])
+        m = merge_atoms(pos, w / w.sum(), 0.0)
+        lo, hi = m.support
+        step = h / r
+        grid = (lo - h - step, hi + h + step, step)
+        d = kde_density(m, h, grid)
+        assert np.all(d.values >= 0)
+        assert abs(d.integral() - 1.0) <= 1e-12
+        _, ref = kde_loop(m, h, grid)
+        assert np.max(np.abs(d.values - ref)) <= 1e-12 * np.max(ref)
+
+    check()
+
+
 def test_l2_norm_flat_density():
     u = uniform_measure(0.0, 1.0, 4000)
     assert l2_norm(kde_density(u, 0.02)) == pytest.approx(1.0, rel=0.02)

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,31 @@ def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("QUASISPEC_CACHE", str(tmp_path))
     cached_spectrum(ModelParams(0.5, n_sites=10))
     assert len(list(tmp_path.glob("spectrum1d-*.npy"))) == 1
+
+
+def _npy_bytes(a):
+    buf = io.BytesIO()
+    np.save(buf, a)
+    return buf.getvalue()
+
+
+def test_corrupt_cache_file_is_recomputed_and_replaced(tmp_path):
+    p = ModelParams(1.0, n_sites=30)
+    ref = cached_spectrum(p, cache_dir=tmp_path).eigenvalues
+    (path,) = tmp_path.glob("spectrum1d-*.npy")
+    good = path.read_bytes()
+    corrupt = {
+        "garbage": b"not an npy file at all" * 10,
+        "truncated": good[: len(good) // 2],
+        "empty": b"",
+        "wrong length": _npy_bytes(ref[:-1]),
+        "float32": _npy_bytes(ref.astype(np.float32)),
+        "unsorted": _npy_bytes(ref[::-1]),
+        "non-finite": _npy_bytes(np.where(np.arange(30) == 29, np.inf, ref)),
+    }
+    for name, data in corrupt.items():
+        path.write_bytes(data)
+        s = cached_spectrum(p, cache_dir=tmp_path)
+        assert np.array_equal(s.eigenvalues, ref), name
+        assert path.read_bytes() == good, name
+    assert [f.name for f in tmp_path.iterdir()] == [path.name]

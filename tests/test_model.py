@@ -4,6 +4,7 @@ import pytest
 from quasispec.model import (
     GOLDEN_CONJUGATE,
     ModelParams,
+    ParameterError,
     potential_value,
     potential_vector,
     substitution_word,
@@ -44,14 +45,12 @@ def test_vector_agrees_with_scalar_everywhere():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        ModelParams(-0.1)
-    with pytest.raises(ValueError):
-        ModelParams(1.0, omega=1.0)
-    with pytest.raises(ValueError):
-        ModelParams(1.0, n_sites=0)
-    with pytest.raises(ValueError):
-        ModelParams(1.0, alpha=1.5)
+    for bad in (dict(lam=-0.1), dict(lam=float("nan")), dict(lam=float("inf")),
+                dict(lam=1.0, omega=1.0), dict(lam=1.0, n_sites=0),
+                dict(lam=1.0, alpha=1.5)):
+        with pytest.raises(ParameterError):
+            ModelParams(**bad)
+    assert issubclass(ParameterError, ValueError)
 
 
 def test_substitution_word_base_cases():
