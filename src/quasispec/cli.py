@@ -241,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--omega", type=float, default=0.0)
         p.add_argument("--omega2", type=float, default=None)
         p.add_argument("--n", type=int, default=500)
-        p.add_argument("--depth", type=int, default=12)
+        p.add_argument("--depth", type=int, default=12, help="covers: 2^depth energy "
+                       f"cells, depth 1..{tracemap.MAX_DEPTH}; regularity: word length")
         p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
         p.add_argument("--start", type=int, default=0)
         p.add_argument("--seed", type=int, default=0)

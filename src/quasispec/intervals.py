@@ -7,6 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dos import _slope_with_stderr
+
+# pairs per sumset block: about 2 MB of endpoints, however large the sets
+_SUMSET_BLOCK = 2**16
+
 
 @dataclass(frozen=True)
 class IntervalSet:
@@ -50,37 +55,38 @@ class IntervalSet:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.empty:
             return np.full(x.shape, np.inf)
-        d = np.full(x.shape, np.inf)
-        for lo, hi in zip(self.a, self.b):
-            d = np.minimum(d, np.maximum(np.maximum(lo - x, x - hi), 0.0))
-        return d
+        # the nearest interval is the last one starting at or before x, or the next
+        i = np.searchsorted(self.a, x, side="right")
+        near = [np.clip(i - 1, 0, len(self) - 1), np.minimum(i, len(self) - 1)]
+        return np.minimum(*(np.maximum(np.maximum(self.a[k] - x, x - self.b[k]), 0.0)
+                            for k in near))
 
     def is_subset_of(self, other: "IntervalSet") -> bool:
-        for lo, hi in zip(self.a, self.b):
-            i = np.searchsorted(other.a, lo, side="right") - 1
-            if i < 0 or hi > other.b[i]:
-                return False
-        return True
+        i = np.searchsorted(other.a, self.a, side="right") - 1
+        if np.any(i < 0):
+            return False
+        return not np.any(self.b > other.b[i])
 
 
 def interval_set(pairs) -> IntervalSet:
     """Build an IntervalSet from (a, b) pairs, merging overlaps and touches."""
-    pairs = [(float(a), float(b)) for a, b in pairs]
-    if not pairs:
-        return IntervalSet(np.empty(0), np.empty(0))
-    for a, b in pairs:
-        if b < a:
-            raise ValueError("interval endpoints out of order")
-    pairs.sort()
-    out_a = [pairs[0][0]]
-    out_b = [pairs[0][1]]
-    for a, b in pairs[1:]:
-        if a <= out_b[-1]:
-            out_b[-1] = max(out_b[-1], b)
-        else:
-            out_a.append(a)
-            out_b.append(b)
-    return IntervalSet(np.asarray(out_a), np.asarray(out_b))
+    p = np.fromiter(pairs, dtype=(float, 2))
+    if np.any(p[:, 1] < p[:, 0]):
+        raise ValueError("interval endpoints out of order")
+    return IntervalSet(*_merge(p[:, 0], p[:, 1]))
+
+
+def _merge(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Components of the union of closed intervals [a_i, b_i], sorted.
+
+    An interval joins when its start is <= the running end, so touches join;
+    tied starts never split a component, so the sort need not be stable.
+    """
+    o = np.argsort(a)
+    a, run = a[o], np.maximum.accumulate(b[o])
+    new = np.ones(a.size, dtype=bool)
+    new[1:] = a[1:] > run[:-1]
+    return a[new], run[np.roll(new, -1)]
 
 
 def lebesgue_length(s: IntervalSet) -> float:
@@ -88,38 +94,38 @@ def lebesgue_length(s: IntervalSet) -> float:
 
 
 def sumset(x: IntervalSet, y: IntervalSet) -> IntervalSet:
-    """Minkowski sum of two interval sets, merged disjoint."""
+    """Minkowski sum of two interval sets, merged disjoint.
+
+    The pairs are formed in blocks of at most _SUMSET_BLOCK = 2^16: rows
+    x_i + Y, or pieces of one.  A row is sorted because y is, so pair j ends
+    a row component when the next start exceeds its end.  Each block's row
+    components are merged, then all blocks' results: memory is
+    O(_SUMSET_BLOCK + components), not O(len(x)*len(y)).  Each endpoint is
+    the same float sum as in an all-pairs merge, and a union of closed
+    intervals has one merged form, so the result is exactly that merge.
+    """
     if x.empty or y.empty:
         raise ValueError("sumset of an empty interval set")
-    a = np.add.outer(x.a, y.a).ravel()
-    b = np.add.outer(x.b, y.b).ravel()
-    order = np.argsort(a, kind="stable")
-    a = a[order]
-    b = b[order]
-    # sweep-merge overlapping or touching intervals
-    out_a = []
-    out_b = []
-    cur_a, cur_b = a[0], b[0]
-    for i in range(1, a.size):
-        if a[i] <= cur_b:
-            if b[i] > cur_b:
-                cur_b = b[i]
-        else:
-            out_a.append(cur_a)
-            out_b.append(cur_b)
-            cur_a, cur_b = a[i], b[i]
-    out_a.append(cur_a)
-    out_b.append(cur_b)
-    return IntervalSet(np.asarray(out_a), np.asarray(out_b))
+    rows = max(1, _SUMSET_BLOCK // len(y))
+    cols = min(len(y), _SUMSET_BLOCK)
+    parts_a, parts_b = [], []
+    for i in range(0, len(x), rows):
+        for j in range(0, len(y), cols):
+            a = x.a[i:i + rows, None] + y.a[j:j + cols]
+            b = x.b[i:i + rows, None] + y.b[j:j + cols]
+            end = np.ones(a.shape, dtype=bool)
+            end[:, :-1] = a[:, 1:] > b[:, :-1]
+            start = np.roll(end, 1, axis=1)
+            ca, cb = _merge(a[start], b[end])
+            parts_a.append(ca)
+            parts_b.append(cb)
+    return IntervalSet(*_merge(np.concatenate(parts_a), np.concatenate(parts_b)))
 
 
 def gap_report(s: IntervalSet) -> list[tuple[float, float, float]]:
     """Maximal open gaps (start, end, width) inside the hull of s."""
-    if len(s) < 2:
-        return []
-    starts = s.b[:-1]
-    ends = s.a[1:]
-    return [(float(g0), float(g1), float(g1 - g0)) for g0, g1 in zip(starts, ends)]
+    g0, g1 = s.b[:-1], s.a[1:]
+    return list(zip(g0.tolist(), g1.tolist(), (g1 - g0).tolist()))
 
 
 def box_dimension(s: IntervalSet, scales) -> tuple[float, float]:
@@ -135,15 +141,7 @@ def box_dimension(s: IntervalSet, scales) -> tuple[float, float]:
     if s.empty:
         raise ValueError("box dimension of the empty set")
     counts = np.array([_grid_cell_count(s, eps) for eps in scales], dtype=float)
-    x = np.log(1.0 / scales)
-    y = np.log(counts)
-    n = x.size
-    xm = x - x.mean()
-    sxx = np.dot(xm, xm)
-    slope = float(np.dot(xm, y) / sxx)
-    resid = y - y.mean() - slope * xm
-    stderr = float(np.sqrt(np.dot(resid, resid) / max(n - 2, 1) / sxx))
-    return slope, stderr
+    return _slope_with_stderr(np.log(1.0 / scales), np.log(counts))
 
 
 def _grid_cell_count(s: IntervalSet, eps: float) -> int:
@@ -152,12 +150,7 @@ def _grid_cell_count(s: IntervalSet, eps: float) -> int:
     # an interval that only touches the start of a cell does not occupy it
     touch = (hi * eps == s.b) & (hi > lo)
     hi = hi - touch
-    total = 0
-    prev = None
-    for l, h in zip(lo, hi):
-        if prev is not None and l <= prev:
-            l = prev + 1
-        if h >= l:
-            total += h - l + 1
-            prev = h
-    return int(total)
+    # cells up to the highest one counted so far are not counted again
+    first = lo.copy()
+    first[1:] = np.maximum(lo[1:], np.maximum.accumulate(hi)[:-1] + 1)
+    return int(np.sum(np.maximum(hi - first + 1, 0)))

@@ -25,6 +25,12 @@ class ParameterError(ValueError):
     """A parameter outside its accepted range (a usage error, not a numeric one)."""
 
 
+def check_coupling(lam):
+    """Raise ParameterError unless the coupling is finite and >= 0."""
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ParameterError("coupling must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters of a finite Fibonacci Hamiltonian box.
@@ -41,8 +47,7 @@ class ModelParams:
     n_sites: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ParameterError("coupling must be finite and >= 0")
+        check_coupling(self.lam)
         if not 0.0 <= self.omega < 1.0:
             raise ParameterError("phase must lie in [0, 1)")
         if not 0.0 < self.alpha < 1.0:

@@ -11,11 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolve import Spectrum1D, jacobi_dense
-from .intervals import gap_report, sumset  # spectra sumset arithmetic lives with IntervalSet
 from .model import ModelParams, potential_vector
 
-__all__ = ["BoxSpec2D", "eigs2d_from_sums", "assemble_dense_2d", "eigs2d_dense",
-           "sumset", "gap_report"]
+__all__ = ["BoxSpec2D", "eigs2d_from_sums", "assemble_dense_2d", "eigs2d_dense"]
 
 _DENSE_MAX_N = 16
 

@@ -22,6 +22,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .intervals import IntervalSet, interval_set
+from .model import ParameterError, check_coupling
+
+# 2^20 cells keep a cover's probe arrays near 100 MB; depth 40 would ask for 8 TiB
+MAX_DEPTH = 20
 
 
 class Point3(NamedTuple):
@@ -79,33 +83,31 @@ def escape_steps(energies, lam: float, max_iter: int,
     if thr < 2.0:
         raise ValueError("escape threshold must be >= 2")
     E = np.atleast_1d(np.asarray(energies, dtype=float))
+    shape = E.shape
+    E = E.ravel()
     x = (E - lam) / 2.0
     y = E / 2.0
     z = np.ones_like(E)
     # prev2 starts at +inf so the growth chain needs two real increases
     prev1 = np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z)))
     prev2 = np.full_like(E, np.inf)
-    steps = np.full(E.shape, max_iter + 1, dtype=np.int64)
-    alive = np.ones(E.shape, dtype=bool)
+    steps = np.full(E.size, max_iter + 1, dtype=np.int64)
+    live = np.arange(E.size)  # indices of the orbits still iterated
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, max_iter + 1):
-            xn = 2.0 * x * y - z
-            z = y
-            y = x
-            x = xn
+            x, y, z = 2.0 * x * y - z, x, y
             mk = np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z)))
             esc = ~np.isfinite(mk) | ((mk > thr) & (mk > prev1) & (prev1 > prev2))
-            newly = alive & esc
-            steps[newly] = k
-            alive &= ~esc
-            if not alive.any():
-                break
-            prev2 = np.where(alive, prev1, 0.0)
-            prev1 = np.where(alive, mk, 0.0)
-            x = np.where(alive, x, 0.0)
-            y = np.where(alive, y, 0.0)
-            z = np.where(alive, z, 0.0)
-    return steps
+            if esc.any():
+                steps[live[esc]] = k
+                keep = ~esc
+                live = live[keep]
+                if live.size == 0:
+                    break
+                x, y, z, mk, prev1 = x[keep], y[keep], z[keep], mk[keep], prev1[keep]
+            prev2 = prev1
+            prev1 = mk
+    return steps.reshape(shape)
 
 
 def escape_test(E: float, lam: float, max_iter: int,
@@ -140,13 +142,15 @@ def spectrum_cover(lam: float, window=None, depth: int = 12,
                    threshold: float | None = None) -> IntervalSet:
     """Outer interval cover of the bounded-orbit energies in the window.
 
-    The window is split into 2^depth equal cells; a cell survives when the
-    escape test reports a bounded orbit at its midpoint or either endpoint.
-    The result covers every probed energy classified bounded, and covers at
-    larger max_iter are nested inside covers at smaller max_iter.
+    The window is split into 2^depth equal cells (1 <= depth <= MAX_DEPTH);
+    a cell survives when the escape test reports a bounded orbit at its
+    midpoint or either endpoint.  The result covers every probed energy
+    classified bounded, and covers at larger max_iter are nested inside
+    covers at smaller max_iter.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    check_coupling(lam)
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ParameterError(f"depth must lie in 1..{MAX_DEPTH}")
     if window is None:
         window = (-3.0, 3.0 + lam)
     emin, emax = float(window[0]), float(window[1])
@@ -159,9 +163,7 @@ def spectrum_cover(lam: float, window=None, depth: int = 12,
     bounded_edge = escape_steps(edges, lam, max_iter, threshold) > max_iter
     bounded_mid = escape_steps(mids, lam, max_iter, threshold) > max_iter
     keep = bounded_mid | bounded_edge[:-1] | bounded_edge[1:]
-    return interval_set(
-        (edges[i], edges[i + 1]) for i in np.where(keep)[0]
-    )
+    return interval_set(zip(edges[:-1][keep].tolist(), edges[1:][keep].tolist()))
 
 
 def trace_jacobian(p) -> np.ndarray:

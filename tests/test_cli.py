@@ -204,3 +204,25 @@ def test_dos2d_free_case_is_unimodal_on_support(tmp_path):
     # 2D free spectrum is [-4, 4]; density peaks centrally and vanishes outside
     assert f[np.argmin(np.abs(e))] > f[np.argmin(np.abs(e - 3.0))]
     assert np.all(f[(e < -4.1) | (e > 4.1)] < 1e-9)
+
+
+@pytest.mark.parametrize("args, artefact", [
+    (["tracemap", "--lambda", "nan", "--depth", "6"], "cover.csv"),
+    (["tracemap", "--lambda", "0.5", "--depth", "0"], "cover.csv"),
+    (["tracemap", "--lambda", "0.5", "--depth", "21"], "cover.csv"),
+    (["lyapunov", "--lambdas", "nan", "--depth", "6"], "lyapunov.csv"),
+    (["sumset2d", "--lambda", "0.3", "--lambda2", "nan", "--depth", "6"], "sumset.csv"),
+    (["sumset2d", "--lambda", "inf", "--depth", "6"], "sumset.csv"),
+    (["sumset2d", "--lambda", "-1", "--depth", "6"], "sumset.csv"),
+])
+def test_bad_coupling_or_depth_is_usage_error(tmp_path, capsys, args, artefact):
+    code, out = run(tmp_path, *args)
+    assert code == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not (out / artefact).exists()
+
+
+def test_help_states_depth_bound(capsys):
+    from quasispec.tracemap import MAX_DEPTH
+    assert main(["tracemap", "--help"]) == 0
+    assert f"1..{MAX_DEPTH}" in capsys.readouterr().out

@@ -3,6 +3,7 @@ import pytest
 
 from quasispec.intervals import (
     IntervalSet,
+    _grid_cell_count,
     box_dimension,
     gap_report,
     interval_set,
@@ -27,6 +28,8 @@ def test_interval_set_merges_overlaps_and_touches():
 def test_interval_set_rejects_bad_endpoints():
     with pytest.raises(ValueError):
         interval_set([(1.0, 0.0)])
+    with pytest.raises(ValueError):
+        interval_set([(0.0, 5.0), (3.0, 1.0)])  # reversed pair inside a merged one
     with pytest.raises(ValueError):
         IntervalSet(np.array([0.0, 0.5]), np.array([1.0, 2.0]))
 
@@ -143,3 +146,193 @@ def test_grid_cell_count_against_brute_force():
                 brute += 1
         slope_count = box_dimension.__globals__["_grid_cell_count"](s, eps)
         assert slope_count == brute
+
+
+# ---- the Python loops the vectorised interval code replaced, kept as oracles
+
+def sweep_interval_set(pairs):
+    pairs = sorted((float(a), float(b)) for a, b in pairs)
+    out_a, out_b = [pairs[0][0]], [pairs[0][1]]
+    for a, b in pairs[1:]:
+        if a <= out_b[-1]:
+            out_b[-1] = max(out_b[-1], b)
+        else:
+            out_a.append(a)
+            out_b.append(b)
+    return np.asarray(out_a), np.asarray(out_b)
+
+
+def sweep_sumset(x, y):
+    a = np.add.outer(x.a, y.a).ravel()
+    b = np.add.outer(x.b, y.b).ravel()
+    order = np.argsort(a, kind="stable")
+    a, b = a[order], b[order]
+    out_a, out_b = [], []
+    cur_a, cur_b = a[0], b[0]
+    for i in range(1, a.size):
+        if a[i] <= cur_b:
+            if b[i] > cur_b:
+                cur_b = b[i]
+        else:
+            out_a.append(cur_a)
+            out_b.append(cur_b)
+            cur_a, cur_b = a[i], b[i]
+    out_a.append(cur_a)
+    out_b.append(cur_b)
+    return np.asarray(out_a), np.asarray(out_b)
+
+
+def loop_distance(s, x):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    d = np.full(x.shape, np.inf)
+    for lo, hi in zip(s.a, s.b):
+        d = np.minimum(d, np.maximum(np.maximum(lo - x, x - hi), 0.0))
+    return d
+
+
+def loop_is_subset_of(s, other):
+    for lo, hi in zip(s.a, s.b):
+        i = np.searchsorted(other.a, lo, side="right") - 1
+        if i < 0 or hi > other.b[i]:
+            return False
+    return True
+
+
+def loop_grid_cell_count(s, eps):
+    lo = np.floor(s.a / eps).astype(np.int64)
+    hi = np.floor(s.b / eps).astype(np.int64)
+    touch = (hi * eps == s.b) & (hi > lo)
+    hi = hi - touch
+    total = 0
+    prev = None
+    for l, h in zip(lo, hi):
+        if prev is not None and l <= prev:
+            l = prev + 1
+        if h >= l:
+            total += h - l + 1
+            prev = h
+    return int(total)
+
+
+def assert_same(s, ab):
+    a, b = ab
+    assert np.array_equal(s.a, a) and np.array_equal(s.b, b)
+    assert s.a.tobytes() == a.tobytes() and s.b.tobytes() == b.tobytes()
+
+
+COVER_LAMBDAS = (0.3, 0.35, 0.4, 0.45, 0.5)
+
+
+@pytest.fixture(scope="module")
+def depth12_covers():
+    from quasispec.tracemap import spectrum_cover
+    return {lam: spectrum_cover(lam, depth=12) for lam in COVER_LAMBDAS}
+
+
+def test_sumset_matches_sweep_on_cover_pairs(depth12_covers):
+    for i, l1 in enumerate(COVER_LAMBDAS):
+        for l2 in COVER_LAMBDAS[i + 1:]:
+            x, y = depth12_covers[l1], depth12_covers[l2]
+            assert_same(sumset(x, y), sweep_sumset(x, y))
+            assert_same(sumset(y, x), sweep_sumset(x, y))
+
+
+def test_sumset_matches_sweep_at_strong_coupling():
+    from quasispec.calibration import SUMSET_LARGE
+    from quasispec.tracemap import spectrum_cover
+    c = spectrum_cover(SUMSET_LARGE["lam"], depth=SUMSET_LARGE["depth"],
+                       max_iter=SUMSET_LARGE["max_iter"])
+    s = sumset(c, c)
+    assert len(gap_report(s)) >= 1
+    assert_same(s, sweep_sumset(c, c))
+
+
+@pytest.mark.parametrize("n, m", [(300, 400), (3, 70_000)])
+def test_sumset_matches_sweep_over_several_blocks(n, m):
+    from quasispec.intervals import _SUMSET_BLOCK
+    rng = np.random.default_rng(n + m)
+    # dyadic endpoints on a coarse grid, so that many sums touch exactly
+    x = interval_set((a, a + w) for a, w in zip(rng.integers(0, 4 * n, n) / 8,
+                                                 rng.integers(0, 3, n) / 8))
+    y = interval_set((a, a + w) for a, w in zip(rng.integers(0, 40 * m, m) / 64,
+                                                 rng.integers(0, 2, m) / 64))
+    assert len(x) * len(y) > _SUMSET_BLOCK
+    if m > _SUMSET_BLOCK:
+        assert len(y) > _SUMSET_BLOCK  # each row is split into pieces
+    assert_same(sumset(x, y), sweep_sumset(x, y))
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 64])
+def test_sumset_block_size_does_not_change_result(monkeypatch, depth12_covers, block):
+    x, y = depth12_covers[0.3], depth12_covers[0.5]
+    want = sumset(x, y)
+    monkeypatch.setattr("quasispec.intervals._SUMSET_BLOCK", block)
+    got = sumset(x, y)
+    assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b)
+
+
+def test_interval_set_matches_sorted_sweep():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 17, 500):
+        starts = rng.integers(0, n, n) / 4
+        pairs = list(zip(starts, starts + rng.integers(0, 3, n) / 4))
+        assert_same(interval_set(pairs), sweep_interval_set(pairs))
+
+
+def test_interval_set_accepts_a_generator():
+    pairs = [(3.0, 4.0), (0.0, 1.0), (1.0, 2.0), (5.5, 6.0)]
+    s = interval_set(p for p in pairs)
+    assert_same(s, sweep_interval_set(pairs))
+    assert s.a.tolist() == [0.0, 3.0, 5.5]
+    assert interval_set(iter([])).empty
+
+
+def random_dyadic_set(rng, n, scale=8):
+    a = rng.integers(-8 * scale, 8 * scale, n) / scale
+    return interval_set(zip(a, a + rng.integers(0, 2 * scale, n) / scale))
+
+
+def test_distance_subset_and_cell_count_match_loops(depth12_covers):
+    rng = np.random.default_rng(29)
+    sets = [random_dyadic_set(rng, int(rng.integers(1, 40))) for _ in range(40)]
+    sets += list(depth12_covers.values())
+    for s in sets:
+        lo, hi = s.hull()
+        x = np.concatenate([rng.uniform(lo - 2, hi + 2, 200), s.a, s.b,
+                            np.arange(lo - 1, hi + 1, 0.125)])
+        assert np.array_equal(s.distance(x), loop_distance(s, x))
+        for eps in (0.5, 0.125, 0.1, 2.0 ** -7, 0.03):
+            assert _grid_cell_count(s, eps) == loop_grid_cell_count(s, eps)
+    for s, t in zip(sets, sets[1:] + sets[:1]):
+        u = sumset(s, interval_set([(0.0, 0.0)]))
+        sub = interval_set(zip(s.a[::2], s.a[::2] + (s.b[::2] - s.a[::2]) / 2))
+        for p, q in ((s, t), (t, s), (sub, s), (s, sub), (u, s), (s, interval_set([]))):
+            assert p.is_subset_of(q) == loop_is_subset_of(p, q)
+    assert interval_set([]).is_subset_of(interval_set([]))
+
+
+def test_sumset_properties_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    quarter = st.integers(-40, 40).map(lambda k: k / 4)
+    width = st.integers(0, 6).map(lambda k: k / 4)
+    sets = st.lists(st.tuples(quarter, width), min_size=1, max_size=12).map(
+        lambda ps: interval_set((a, a + w) for a, w in ps))
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(x=sets, y=sets, keep=st.lists(st.booleans(), min_size=12, max_size=12))
+    def prop(x, y, keep):
+        s = sumset(x, y)
+        assert_same(s, sweep_sumset(x, y))
+        t = sumset(y, x)
+        assert s.a.tobytes() == t.a.tobytes() and s.b.tobytes() == t.b.tobytes()
+        for ex in (x.a, x.b):
+            for ey in (y.a, y.b):
+                assert s.contains(np.add.outer(ex, ey).ravel()).all()
+        # a subset of x gives a subset of the sumset
+        sub = [(a, b) for a, b, k in zip(x.a, x.b, keep) if k]
+        if sub:
+            assert sumset(interval_set(sub), y).is_subset_of(s)
+
+    prop()

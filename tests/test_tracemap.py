@@ -195,3 +195,56 @@ def test_cover_box_dimension_decreases_with_coupling():
             for lam in (0.5, 1.0, 2.0, 4.0)]
     assert all(0.0 < d < 1.0 for d in dims)
     assert all(a > b for a, b in zip(dims, dims[1:]))
+
+
+def loop_escape_steps(energies, lam, max_iter):
+    """The fixed-size escape loop that masked dead orbits, kept as an oracle."""
+    thr = max(4.0, 2.0 + lam)
+    E = np.atleast_1d(np.asarray(energies, dtype=float))
+    x, y, z = (E - lam) / 2.0, E / 2.0, np.ones_like(E)
+    prev1 = np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z)))
+    prev2 = np.full_like(E, np.inf)
+    steps = np.full(E.shape, max_iter + 1, dtype=np.int64)
+    alive = np.ones(E.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, max_iter + 1):
+            x, y, z = 2.0 * x * y - z, x, y
+            mk = np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z)))
+            esc = ~np.isfinite(mk) | ((mk > thr) & (mk > prev1) & (prev1 > prev2))
+            steps[alive & esc] = k
+            alive &= ~esc
+            if not alive.any():
+                break
+            prev2 = np.where(alive, prev1, 0.0)
+            prev1 = np.where(alive, mk, 0.0)
+            x = np.where(alive, x, 0.0)
+            y = np.where(alive, y, 0.0)
+            z = np.where(alive, z, 0.0)
+    return steps
+
+
+@pytest.mark.parametrize("lam, max_iter", [(0.3, 42), (1.0, 40), (4.0, 15)])
+def test_escape_steps_match_masked_loop_and_scalar_test(lam, max_iter):
+    rng = np.random.default_rng(int(10 * lam))
+    es = np.concatenate([rng.uniform(-3.0, 3.0 + lam, 3000),
+                         np.linspace(-3.0, 3.0 + lam, 2**12 + 1)])
+    steps = escape_steps(es, lam, max_iter)
+    assert np.array_equal(steps, loop_escape_steps(es, lam, max_iter))
+    assert 0 < np.sum(steps > max_iter) < es.size
+    for e, k in zip(es[:400], steps[:400]):
+        r = escape_test(float(e), lam, max_iter)
+        assert r.steps == (k if r.escaped else max_iter) and r.escaped == (k <= max_iter)
+    grid = es[:3000].reshape(60, 50)
+    assert np.array_equal(escape_steps(grid, lam, max_iter), steps[:3000].reshape(60, 50))
+
+
+def test_cover_rejects_bad_coupling_and_depth_before_allocating():
+    from quasispec.model import ParameterError
+    from quasispec.tracemap import MAX_DEPTH
+    for lam in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ParameterError):
+            spectrum_cover(lam, depth=4)
+    # depth 40 would ask for 2^40 cells (8 TiB of probe arrays)
+    for depth in (0, -3, MAX_DEPTH + 1, 40):
+        with pytest.raises(ParameterError):
+            spectrum_cover(0.3, depth=depth)
