@@ -58,6 +58,8 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     if proc.returncode != 0 or not lines:
         return {"seed": seed, "exit": proc.returncode, "correct": False, "metrics": {}}
     result = json.loads(lines[-1])
+    # bench/run.py prints each metric as {"value": v, "unit": u}
+    result["metrics"] = {k: m["value"] for k, m in result["metrics"].items()}
     return {"seed": seed, "exit": proc.returncode, **result}
 
 
