@@ -6,7 +6,8 @@
 Each revision is extracted with `git archive <rev> | tar -x` into a
 temporary directory, so the working tree is never touched and only committed
 files are measured.  For every workload and seed, `python3 bench/run.py` runs
-once on each side; the side that runs first alternates from seed to seed.
+once on each side, for the `run_seconds` that the change's BENCHMARK.json
+sets; the side that runs first alternates from seed to seed.
 The JSON written to --out holds every run's metrics, each side's median and
 quartiles (`statistics.quantiles(n=4)`) per metric, the pairs won by the
 change (lower is better for every end-to-end metric; ties count for
@@ -94,11 +95,11 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", action="append", required=True,
                     help="bench/run.py workload; repeat for several")
     ap.add_argument("--seeds", required=True, help="e.g. 8001-8010 or 1,2,5")
-    ap.add_argument("--seconds", type=int, default=20, help="run length of each run")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
 
     commits = {"base": git("rev-parse", args.base), "change": git("rev-parse", args.change)}
+    seconds = json.loads(git("show", f"{commits['change']}:BENCHMARK.json"))["run_seconds"]
     doc = {}
     if args.out.exists():
         doc = json.loads(args.out.read_text())
@@ -107,7 +108,7 @@ def main(argv=None) -> int:
     doc.update({
         "commits": commits,
         "command": "python3 bench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds} --trace 0",
+                   f"--seconds {seconds} --trace 0",
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": numpy_version(),
@@ -124,7 +125,7 @@ def main(argv=None) -> int:
             for k, seed in enumerate(seeds):
                 order = ("base", "change") if k % 2 == 0 else ("change", "base")
                 for side in order:
-                    r = run_bench(trees[side], workload, seed, args.seconds)
+                    r = run_bench(trees[side], workload, seed, seconds)
                     r["first"] = side == order[0]
                     runs[side].append(r)
                     print(workload, seed, side, json.dumps(r.get("metrics")), flush=True)
