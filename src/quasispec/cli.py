@@ -17,7 +17,7 @@ from . import dos, io, regularity, tracemap
 from .calibration import KDE_BANDWIDTHS, L2_FLAG_GROWTH
 from .eigensolve import cached_spectrum
 from .intervals import box_dimension, gap_report, lebesgue_length, sumset
-from .model import ModelParams, ParameterError
+from .model import ModelParams, ParameterError, check_coupling
 from .separable2d import eigs2d_from_sums
 
 USAGE_EXIT = 2
@@ -144,6 +144,7 @@ def cmd_dos2d(args, out: Path):
 def cmd_sumset2d(args, out: Path):
     t0 = time.time()
     lam2 = args.lam2 if args.lam2 is not None else args.lam
+    check_coupling(lam2)
     c1 = tracemap.spectrum_cover(args.lam, depth=args.depth, max_iter=args.max_iter)
     c2 = tracemap.spectrum_cover(lam2, depth=args.depth, max_iter=args.max_iter)
     if c1.empty or c2.empty:

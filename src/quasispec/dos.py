@@ -180,11 +180,11 @@ def kde_density(m: AtomicMeasure, bandwidth: float,
     function sampled on the grid sums to exactly r, so each atom's kernel
     already has on-grid trapezoid mass equal to its weight, and the kernel is
     piecewise linear in the atom position with kinks only at grid points.
-    The density is therefore exact under linear binning: an atom at grid
-    index c + f puts (1 - f) of its weight on node c and f on node c + 1 (f
-    clipped to 1 against roundoff), and the binned weights are convolved once
-    with the hat sampled at the r-step offsets.  The total integral is 1 up
-    to roundoff.  The grid must cover the support widened by one bandwidth.
+    The density is therefore computed exactly by linear binning: an atom at
+    grid index c + f (0 <= f < 1) puts (1 - f) of its weight on node c and f
+    on node c + 1, and the binned weights are convolved once with the hat
+    sampled at the r-step offsets.  The total integral is 1 up to roundoff.
+    The grid must cover the support widened by one bandwidth.
     """
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
@@ -203,7 +203,7 @@ def kde_density(m: AtomicMeasure, bandwidth: float,
     if x[0] > lo - bandwidth or x[-1] < hi + bandwidth - 1e-9 * step:
         raise ValueError("grid must cover the support widened by the bandwidth")
     c = np.searchsorted(x, m.positions, side="right") - 1
-    f = np.minimum((m.positions - x[c]) / (x[1] - x[0]), 1.0)
+    f = (m.positions - x[c]) / (x[1] - x[0])
     binned = np.bincount(np.concatenate((c, c + 1)),
                          weights=np.concatenate((m.weights * (1.0 - f), m.weights * f)),
                          minlength=x.size + 1)

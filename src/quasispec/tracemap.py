@@ -237,6 +237,8 @@ def lyapunov_scan(lambdas, e_samples: int, m: int, depth: int = 10,
     lambdas = list(lambdas)
     if not lambdas:
         raise ValueError("empty coupling grid")
+    for lam in lambdas:
+        check_coupling(lam)
     if filter_steps is None:
         filter_steps = 2 * m
     if filter_steps < m:

@@ -211,11 +211,20 @@ def test_dos2d_free_case_is_unimodal_on_support(tmp_path):
     (["tracemap", "--lambda", "0.5", "--depth", "0"], "cover.csv"),
     (["tracemap", "--lambda", "0.5", "--depth", "21"], "cover.csv"),
     (["lyapunov", "--lambdas", "nan", "--depth", "6"], "lyapunov.csv"),
+    (["lyapunov", "--lambdas", "0.3,nan", "--depth", "6"], "lyapunov.csv"),
     (["sumset2d", "--lambda", "0.3", "--lambda2", "nan", "--depth", "6"], "sumset.csv"),
     (["sumset2d", "--lambda", "inf", "--depth", "6"], "sumset.csv"),
     (["sumset2d", "--lambda", "-1", "--depth", "6"], "sumset.csv"),
 ])
-def test_bad_coupling_or_depth_is_usage_error(tmp_path, capsys, args, artefact):
+def test_bad_coupling_or_depth_is_usage_error(tmp_path, capsys, monkeypatch,
+                                             args, artefact):
+    from quasispec import tracemap
+
+    def no_cover(*_, **__):
+        raise AssertionError("a cover was computed before the check")
+
+    # every coupling and the depth are checked before any orbit is iterated
+    monkeypatch.setattr(tracemap, "escape_steps", no_cover)
     code, out = run(tmp_path, *args)
     assert code == 2
     assert "usage error" in capsys.readouterr().err

@@ -265,19 +265,6 @@ def test_kde_rejects_non_integer_bandwidth_ratio():
     kde_density(delta(), 0.1, grid=(-1.0, 1.0, 0.1 / 8 * (1 + 1e-11)))
 
 
-def test_kde_binning_fraction_roundoff_keeps_density_nonnegative():
-    # the atom lies 3e-17 below node 5 and the spacing x[5] - x[4] exceeds
-    # x[1] - x[0], so the unclipped fraction was 1 + 2e-16 and node 1 got -1.3e-16
-    m = merge_atoms([0.2247427810382406], np.array([1.0]), 0.0)
-    h = 0.4129736861389153
-    step = h / 4
-    grid = (m.support[0] - h - step, m.support[1] + h + step, step)
-    d = kde_density(m, h, grid)
-    assert np.all(d.values >= 0)
-    _, ref = kde_loop(m, h, grid)
-    assert np.max(np.abs(d.values - ref)) <= 1e-12 * np.max(ref)
-
-
 def test_kde_property_binned_matches_loop():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -297,13 +284,9 @@ def test_kde_property_binned_matches_loop():
         grid = (lo - h - step, hi + h + step, step)
         d = kde_density(m, h, grid)
         assert np.all(d.values >= 0)
-        # np.arange spaces the nodes by a rounded step, so the node at offset k
-        # from an atom lies up to k * ulp(x) / 2 from k * step: a relative error
-        # of ulp(x) / step in the integral and in the kernel's tail values
-        tol = 1e-12 + 2.0 * np.spacing(max(abs(grid[0]), abs(grid[1]))) / step
-        assert abs(d.integral() - 1.0) <= tol
+        assert abs(d.integral() - 1.0) <= 1e-12
         _, ref = kde_loop(m, h, grid)
-        assert np.max(np.abs(d.values - ref)) <= tol * np.max(ref)
+        assert np.max(np.abs(d.values - ref)) <= 1e-12 * np.max(ref)
 
     check()
 

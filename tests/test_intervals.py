@@ -131,21 +131,30 @@ def test_sumset_covers_all_pointwise_sums():
             assert s.contains([px + py])[0]
 
 
-def test_grid_cell_count_against_brute_force():
+def brute_cell_count(s, eps):
+    lo = int(np.floor(s.a[0] / eps)) - 1
+    hi = int(np.floor(s.b[-1] / eps)) + 1
+    count = 0
+    for k in range(lo, hi + 1):
+        c0, c1 = k * eps, (k + 1) * eps
+        # cell meets the set with positive overlap length, or holds a
+        # single-point interval
+        if np.any(np.minimum(s.b, c1) - np.maximum(s.a, c0) > 0) or \
+                np.any((s.a == s.b) & (s.a >= c0) & (s.a < c1)):
+            count += 1
+    return count
+
+
+def test_grid_cell_count_against_brute_force(depth12_covers):
     rng = np.random.default_rng(23)
-    for _ in range(30):
-        s = random_interval_set(rng, int(rng.integers(1, 6)))
-        eps = float(rng.uniform(0.05, 0.9))
-        lo = int(np.floor(s.a[0] / eps)) - 1
-        hi = int(np.floor(s.b[-1] / eps)) + 1
-        brute = 0
-        for k in range(lo, hi + 1):
-            c0, c1 = k * eps, (k + 1) * eps
-            # cell meets the set with positive overlap length
-            if np.any(np.minimum(s.b, c1) - np.maximum(s.a, c0) > 0):
-                brute += 1
-        slope_count = box_dimension.__globals__["_grid_cell_count"](s, eps)
-        assert slope_count == brute
+    cases = [(random_interval_set(rng, int(rng.integers(1, 6))),
+              float(rng.uniform(0.05, 0.9))) for _ in range(30)]
+    # dyadic sets, where intervals touch cell edges exactly, and real covers
+    sets = [random_dyadic_set(rng, int(rng.integers(1, 40))) for _ in range(40)]
+    sets += list(depth12_covers.values())
+    cases += [(s, eps) for s in sets for eps in (0.5, 0.125, 0.1, 2.0 ** -7, 0.03)]
+    for s, eps in cases:
+        assert _grid_cell_count(s, eps) == brute_cell_count(s, eps)
 
 
 # ---- the Python loops the vectorised interval code replaced, kept as oracles
@@ -196,22 +205,6 @@ def loop_is_subset_of(s, other):
         if i < 0 or hi > other.b[i]:
             return False
     return True
-
-
-def loop_grid_cell_count(s, eps):
-    lo = np.floor(s.a / eps).astype(np.int64)
-    hi = np.floor(s.b / eps).astype(np.int64)
-    touch = (hi * eps == s.b) & (hi > lo)
-    hi = hi - touch
-    total = 0
-    prev = None
-    for l, h in zip(lo, hi):
-        if prev is not None and l <= prev:
-            l = prev + 1
-        if h >= l:
-            total += h - l + 1
-            prev = h
-    return int(total)
 
 
 def assert_same(s, ab):
@@ -292,7 +285,7 @@ def random_dyadic_set(rng, n, scale=8):
     return interval_set(zip(a, a + rng.integers(0, 2 * scale, n) / scale))
 
 
-def test_distance_subset_and_cell_count_match_loops(depth12_covers):
+def test_distance_and_subset_match_loops(depth12_covers):
     rng = np.random.default_rng(29)
     sets = [random_dyadic_set(rng, int(rng.integers(1, 40))) for _ in range(40)]
     sets += list(depth12_covers.values())
@@ -301,8 +294,6 @@ def test_distance_subset_and_cell_count_match_loops(depth12_covers):
         x = np.concatenate([rng.uniform(lo - 2, hi + 2, 200), s.a, s.b,
                             np.arange(lo - 1, hi + 1, 0.125)])
         assert np.array_equal(s.distance(x), loop_distance(s, x))
-        for eps in (0.5, 0.125, 0.1, 2.0 ** -7, 0.03):
-            assert _grid_cell_count(s, eps) == loop_grid_cell_count(s, eps)
     for s, t in zip(sets, sets[1:] + sets[:1]):
         u = sumset(s, interval_set([(0.0, 0.0)]))
         sub = interval_set(zip(s.a[::2], s.a[::2] + (s.b[::2] - s.a[::2]) / 2))
