@@ -63,9 +63,7 @@ class IntervalSet:
 
     def is_subset_of(self, other: "IntervalSet") -> bool:
         i = np.searchsorted(other.a, self.a, side="right") - 1
-        if np.any(i < 0):
-            return False
-        return not np.any(self.b > other.b[i])
+        return bool(np.all(i >= 0) and np.all(self.b <= other.b[i]))
 
 
 def interval_set(pairs) -> IntervalSet:

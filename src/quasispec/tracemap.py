@@ -83,8 +83,7 @@ def escape_steps(energies, lam: float, max_iter: int,
     if thr < 2.0:
         raise ValueError("escape threshold must be >= 2")
     E = np.atleast_1d(np.asarray(energies, dtype=float))
-    shape = E.shape
-    E = E.ravel()
+    shape, E = E.shape, E.ravel()
     x = (E - lam) / 2.0
     y = E / 2.0
     z = np.ones_like(E)
