@@ -85,7 +85,10 @@ def cmd_tracemap(args, out: Path):
 
 def cmd_lyapunov(args, out: Path):
     t0 = time.time()
-    lams = [float(s) for s in args.lambdas.split(",")]
+    try:
+        lams = [float(s) for s in args.lambdas.split(",")]
+    except ValueError as err:
+        raise ParameterError(f"--lambdas must be comma-separated numbers: {err}") from err
     rows = tracemap.lyapunov_scan(lams, args.e_samples, args.m,
                                   depth=args.depth, seed=args.seed)
     f = io.write_csv(out / "lyapunov.csv", ["lambda", "mean_exponent", "spread"], rows)

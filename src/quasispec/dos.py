@@ -203,7 +203,8 @@ def kde_density(m: AtomicMeasure, bandwidth: float,
     if x[0] > lo - bandwidth or x[-1] < hi + bandwidth - 1e-9 * step:
         raise ValueError("grid must cover the support widened by the bandwidth")
     c = np.searchsorted(x, m.positions, side="right") - 1
-    f = (m.positions - x[c]) / (x[1] - x[0])
+    # roundoff can put the fraction a hair above 1, which would bin a negative weight
+    f = np.clip((m.positions - x[c]) / (x[1] - x[0]), 0.0, 1.0)
     binned = np.bincount(np.concatenate((c, c + 1)),
                          weights=np.concatenate((m.weights * (1.0 - f), m.weights * f)),
                          minlength=x.size + 1)

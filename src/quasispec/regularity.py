@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .dos import AtomicMeasure, convolve
+from .dos import AtomicMeasure, _slope_with_stderr, convolve
+from .model import ParameterError
 
 
 @dataclass(frozen=True)
@@ -100,57 +101,55 @@ def common_prefix_len(omega, tau) -> int:
     return k
 
 
-def _phi_poly(omega, tau, sys: SymbolicSystem) -> np.ndarray:
-    d = np.asarray(sys.digits)
-    return d[np.asarray(omega, dtype=int)] - d[np.asarray(tau, dtype=int)]
-
-
 def _phi_on_grid(coeffs: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    return lams[:, None] ** np.arange(coeffs.size) @ coeffs
+    """phi of each coefficient row at each lam: one product against lam^j."""
+    return coeffs @ (lams[:, None] ** np.arange(coeffs.shape[-1])).T
 
 
-def _random_word(rng, sys: SymbolicSystem, length: int, first=None) -> np.ndarray:
-    w = np.empty(length, dtype=int)
-    probs = np.asarray(sys.weights)
-    allowed0 = np.arange(sys.ell) if first is None else np.asarray(first)
-    p0 = probs[allowed0] / probs[allowed0].sum()
-    w[0] = rng.choice(allowed0, p=p0)
-    for i in range(1, length):
-        allowed = np.where(sys.transition[w[i - 1]] == 1)[0]
-        p = probs[allowed] / probs[allowed].sum()
-        w[i] = rng.choice(allowed, p=p)
-    return w
+def _markov_rows(sys: SymbolicSystem) -> np.ndarray:
+    """Next-symbol weights after each symbol, then a start row (index ell)."""
+    w = np.asarray(sys.weights)
+    return np.vstack([w * sys.transition, w])
 
 
-def sample_pair(rng, sys: SymbolicSystem, depth: int, k: int):
-    """Admissible word pair of length depth with common prefix length k."""
-    for _ in range(64):
-        if k > 0:
-            prefix = _random_word(rng, sys, k)
-            succ = np.where(sys.transition[prefix[-1]] == 1)[0]
-        else:
-            prefix = np.empty(0, dtype=int)
-            succ = np.arange(sys.ell)
-        if succ.size < 2:
-            continue
-        s, t = rng.choice(succ, size=2, replace=False)
-        om = np.concatenate([prefix, [s], _suffix(rng, sys, s, depth - k - 1)])
-        ta = np.concatenate([prefix, [t], _suffix(rng, sys, t, depth - k - 1)])
-        return om, ta
-    raise RuntimeError("could not sample a branching pair; transition too sparse")
-
-
-def _suffix(rng, sys, last, length):
-    if length <= 0:
-        return np.empty(0, dtype=int)
-    w = np.empty(length, dtype=int)
-    prev = last
-    probs = np.asarray(sys.weights)
+def _markov_words(rng, sys: SymbolicSystem, state: np.ndarray, length: int) -> np.ndarray:
+    """(state.size, length) Markov words, row i continuing from state[i]."""
+    cum = np.cumsum(_markov_rows(sys), axis=1)
+    cum /= cum[:, -1:]  # exactly 1 from each row's last allowed symbol on
+    words = np.empty((state.size, length), dtype=np.intp)
     for i in range(length):
-        allowed = np.where(sys.transition[prev] == 1)[0]
-        p = probs[allowed] / probs[allowed].sum()
-        prev = w[i] = rng.choice(allowed, p=p)
-    return w
+        state = words[:, i] = (cum[state] <= rng.random((state.size, 1))).sum(axis=1)
+    return words
+
+
+def sample_pair(rng, sys: SymbolicSystem, depth: int, k: int, n: int):
+    """n admissible word pairs of length depth with common prefix length k.
+
+    Returns two (n, depth) arrays.  A prefix is redrawn while its last symbol
+    has fewer than two successors; the two branch symbols are distinct
+    successors drawn uniformly, and each suffix continues the chain.
+    """
+    rows = _markov_rows(sys)
+    start = np.full(n, sys.ell)
+    prefix = np.empty((n, k), dtype=np.intp)
+    redraw = np.arange(n)
+    for _ in range(64):
+        prefix[redraw] = _markov_words(rng, sys, start[redraw], k)
+        last = prefix[:, -1] if k > 0 else start
+        nsucc = np.count_nonzero(rows[last], axis=1)
+        redraw = np.flatnonzero(nsucc < 2)
+        if redraw.size == 0:
+            break
+    else:
+        raise RuntimeError("could not sample a branching pair; transition too sparse")
+    a = rng.integers(nsucc)
+    b = rng.integers(nsucc - 1)
+    b += b >= a
+    succ = np.argsort(rows[last] == 0, axis=1, kind="stable")  # successors first
+    s, t = succ[np.arange(n), a], succ[np.arange(n), b]
+    om = np.hstack([prefix, s[:, None], _markov_words(rng, sys, s, depth - k - 1)])
+    ta = np.hstack([prefix, t[:, None], _markov_words(rng, sys, t, depth - k - 1)])
+    return om, ta
 
 
 def _extreme_pairs(rng, sys: SymbolicSystem, depth: int, k: int):
@@ -158,20 +157,44 @@ def _extreme_pairs(rng, sys: SymbolicSystem, depth: int, k: int):
 
     The aligned pair maximizes |phi| over the stratum; the cancelling pair
     minimizes |d phi / d lam|.  On sparse transition matrices the extreme
-    suffixes may be inadmissible, in which case none are produced.
+    suffixes may be inadmissible, in which case none are produced.  Returns
+    two (2, depth) arrays, or two (0, depth) arrays.
     """
-    d = np.asarray(sys.digits)
-    hi = int(np.argmax(d))
-    lo = int(np.argmin(d))
     if not (sys.transition > 0).all():
-        return []
-    prefix = _random_word(rng, sys, k) if k > 0 else np.empty(0, dtype=int)
+        return np.empty((0, depth), dtype=np.intp), np.empty((0, depth), dtype=np.intp)
+    d = np.asarray(sys.digits)
+    hi, lo = int(np.argmax(d)), int(np.argmin(d))
+    prefix = _markov_words(rng, sys, np.full(1, sys.ell), k)[0]
     m = depth - k - 1
-    aligned = (np.concatenate([prefix, [hi], np.full(m, hi, dtype=int)]),
-               np.concatenate([prefix, [lo], np.full(m, lo, dtype=int)]))
-    cancelling = (np.concatenate([prefix, [hi], np.full(m, lo, dtype=int)]),
-                  np.concatenate([prefix, [lo], np.full(m, hi, dtype=int)]))
-    return [aligned, cancelling]
+    om = [np.r_[prefix, hi, np.full(m, hi)], np.r_[prefix, hi, np.full(m, lo)]]
+    ta = [np.r_[prefix, lo, np.full(m, lo)], np.r_[prefix, lo, np.full(m, hi)]]
+    return np.array(om), np.array(ta)
+
+
+def _stratified_draw(sys: SymbolicSystem, depth: int, pairs: int, k0: int, seed: int):
+    """Prefix lengths and phi coefficient rows of one seeded stratified sample.
+
+    Stratum k (k0 <= k < depth) holds the extreme pairs and
+    pairs // (depth - k0) sampled pairs; a row holds digits[omega] -
+    digits[tau], so phi(lam) is its product with lam^j.
+    """
+    if depth < 4:
+        raise ParameterError("depth must be >= 4")
+    if not 0 <= k0 < depth:
+        raise ParameterError("k0 must lie in 0..depth-1")
+    per = pairs // (depth - k0)
+    if per < 1:
+        raise ParameterError(f"need at least one sampled pair per prefix length "
+                             f"{k0}..{depth - 1}: >= {depth - k0} pairs")
+    rng = np.random.default_rng(seed)
+    d = np.asarray(sys.digits)
+    ks, coeffs = [], []
+    for k in range(k0, depth):
+        ext_om, ext_ta = _extreme_pairs(rng, sys, depth, k)
+        om, ta = sample_pair(rng, sys, depth, k, per)
+        coeffs.append(d[np.vstack([ext_om, om])] - d[np.vstack([ext_ta, ta])])
+        ks.append(np.full(len(coeffs[-1]), k))
+    return np.concatenate(ks), np.vstack(coeffs)
 
 
 def _lambda_grid(J, n: int = 33) -> np.ndarray:
@@ -181,50 +204,47 @@ def _lambda_grid(J, n: int = 33) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _max_phi(sys, J, depth, pairs, k0, seed):
+    """Prefix lengths and max_J |phi| of a stratified sample."""
+    lams = _lambda_grid(J)
+    ks, coeffs = _stratified_draw(sys, depth, pairs, k0, seed)
+    return ks, np.abs(_phi_on_grid(coeffs, lams)).max(axis=1)
+
+
+def _min_dphi(sys, J, depth, pairs, k0, seed, cd_step):
+    """Prefix lengths and min_J |phi'| of the pairs whose derivative is
+    resolved at the central-difference step, and the flagged fraction."""
+    lams = _lambda_grid(J)
+    if cd_step is None:
+        cd_step = max(1e-6, 1e-3 * (float(J[1]) - float(J[0])))
+    if cd_step > 1e-4:
+        raise ValueError("central-difference step must resolve phi': need <= 1e-4")
+    ks, coeffs = _stratified_draw(sys, depth, pairs, k0, seed)
+    d = np.abs(_phi_on_grid(coeffs, lams + cd_step)
+               - _phi_on_grid(coeffs, lams - cd_step)).min(axis=1) / (2.0 * cd_step)
+    ok = d >= 1e-12
+    return ks[ok], d[ok], float(np.mean(~ok))
+
+
 def estimate_cond1(sys: SymbolicSystem, J, depth: int, sample_pairs: int,
                    k0: int = 2, seed: int = 0) -> tuple[float, float]:
     """Exponent and constant for the difference-decay bound.
 
-    Samples pairs stratified by common prefix length k in k0..depth-2,
+    Samples pairs stratified by common prefix length k in k0..depth-1,
     regresses log max_J |phi| on -k log ell, and returns (alpha_hat, c1) with
     c1 inflated so the bound holds on every sampled pair.
     """
-    if depth < 4:
-        raise ValueError("depth must be >= 4")
-    rng = np.random.default_rng(seed)
-    lams = _lambda_grid(J)
-    ks, vals = _max_phi_samples(rng, sys, J, depth, sample_pairs, k0, lams)
-    x = -np.asarray(ks, dtype=float) * np.log(sys.ell)
-    y = np.log(vals)
-    alpha_hat = float(np.dot(x - x.mean(), y - y.mean()) / np.dot(x - x.mean(), x - x.mean()))
-    c1 = float(np.max(vals * np.asarray(sys.ell, dtype=float) ** (alpha_hat * np.asarray(ks))))
+    ks, vals = _max_phi(sys, J, depth, sample_pairs, k0, seed)
+    alpha_hat = _slope_with_stderr(-ks * np.log(sys.ell), np.log(vals))[0]
+    c1 = float(np.max(vals * float(sys.ell) ** (alpha_hat * ks)))
     return alpha_hat, c1
-
-
-def _max_phi_samples(rng, sys, J, depth, sample_pairs, k0, lams):
-    strata = list(range(k0, depth))
-    if not strata:
-        raise ValueError("no prefix strata between k0 and depth")
-    per = max(1, sample_pairs // len(strata))
-    ks, vals = [], []
-    for k in strata:
-        pairs = _extreme_pairs(rng, sys, depth, k)
-        pairs += [sample_pair(rng, sys, depth, k) for _ in range(per)]
-        for om, ta in pairs:
-            coeffs = _phi_poly(om, ta, sys)
-            ph = _phi_on_grid(coeffs, lams)
-            ks.append(k)
-            vals.append(np.max(np.abs(ph)))
-    return np.asarray(ks), np.asarray(vals)
 
 
 def verify_cond1(sys: SymbolicSystem, J, depth: int, holdout_pairs: int,
                  alpha_hat: float, c1: float, k0: int = 2, seed: int = 1) -> int:
     """Number of holdout pairs violating the fitted bound (0 when it holds)."""
-    rng = np.random.default_rng(seed)
-    lams = _lambda_grid(J)
-    ks, vals = _max_phi_samples(rng, sys, J, depth, holdout_pairs, k0, lams)
-    bound = c1 * (1.0 + 1e-12) * np.asarray(sys.ell, dtype=float) ** (-alpha_hat * ks)
+    ks, vals = _max_phi(sys, J, depth, holdout_pairs, k0, seed)
+    bound = c1 * (1.0 + 1e-12) * float(sys.ell) ** (-alpha_hat * ks)
     return int(np.sum(vals > bound))
 
 
@@ -239,52 +259,20 @@ def estimate_cond2(sys: SymbolicSystem, J, depth: int, sample_pairs: int,
     fraction) where c2 = 2 / c2', and c2' makes the envelope
     min |phi'| >= c2' ell^{-k beta_hat} hold on every retained pair.
     """
-    if depth < 4:
-        raise ValueError("depth must be >= 4")
-    rng = np.random.default_rng(seed)
-    ks, vals, flagged = _min_dphi_samples(rng, sys, J, depth, sample_pairs, k0, cd_step)
+    ks, vals, flagged = _min_dphi(sys, J, depth, sample_pairs, k0, seed, cd_step)
     if len(vals) == 0:
         raise RuntimeError("all sampled pairs were derivative-degenerate")
-    x = -np.asarray(ks, dtype=float) * np.log(sys.ell)
-    y = np.log(vals)
-    beta_hat = float(np.dot(x - x.mean(), y - y.mean()) / np.dot(x - x.mean(), x - x.mean()))
-    c2_prime = float(np.min(vals * np.asarray(sys.ell, dtype=float) ** (beta_hat * np.asarray(ks))))
+    beta_hat = _slope_with_stderr(-ks * np.log(sys.ell), np.log(vals))[0]
+    c2_prime = float(np.min(vals * float(sys.ell) ** (beta_hat * ks)))
     return beta_hat, 2.0 / c2_prime, flagged
-
-
-def _min_dphi_samples(rng, sys, J, depth, sample_pairs, k0, cd_step):
-    lams = _lambda_grid(J)
-    if cd_step is None:
-        cd_step = max(1e-6, 1e-3 * (float(J[1]) - float(J[0])))
-    if cd_step > 1e-4:
-        raise ValueError("central-difference step must resolve phi': need <= 1e-4")
-    strata = list(range(k0, depth))
-    per = max(1, sample_pairs // len(strata))
-    ks, vals, nflag, total = [], [], 0, 0
-    for k in strata:
-        pairs = _extreme_pairs(rng, sys, depth, k)
-        pairs += [sample_pair(rng, sys, depth, k) for _ in range(per)]
-        for om, ta in pairs:
-            total += 1
-            coeffs = _phi_poly(om, ta, sys)
-            d = np.abs(_phi_on_grid(coeffs, lams + cd_step)
-                       - _phi_on_grid(coeffs, lams - cd_step)) / (2.0 * cd_step)
-            dmin = float(np.min(d))
-            if dmin < 1e-12:
-                nflag += 1
-                continue
-            ks.append(k)
-            vals.append(dmin)
-    return np.asarray(ks), np.asarray(vals), nflag / max(total, 1)
 
 
 def verify_cond2(sys: SymbolicSystem, J, depth: int, holdout_pairs: int,
                  beta_hat: float, c2: float, k0: int = 2, seed: int = 1) -> int:
     """Holdout violations of the derivative envelope implied by (beta_hat, c2)."""
-    rng = np.random.default_rng(seed)
-    ks, vals, _ = _min_dphi_samples(rng, sys, J, depth, holdout_pairs, k0, None)
+    ks, vals, _ = _min_dphi(sys, J, depth, holdout_pairs, k0, seed, None)
     c2_prime = 2.0 / c2
-    bound = c2_prime * (1.0 - 1e-12) * np.asarray(sys.ell, dtype=float) ** (-beta_hat * ks)
+    bound = c2_prime * (1.0 - 1e-12) * float(sys.ell) ** (-beta_hat * ks)
     return int(np.sum(vals < bound))
 
 

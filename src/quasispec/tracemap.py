@@ -157,6 +157,8 @@ def spectrum_cover(lam: float, window=None, depth: int = 12,
         raise ValueError("empty energy window")
     if max_iter is None:
         max_iter = default_max_iter(depth)
+    elif max_iter < 1:
+        raise ParameterError("max_iter must be >= 1")
     edges = np.linspace(emin, emax, 2**depth + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     bounded_edge = escape_steps(edges, lam, max_iter, threshold) > max_iter

@@ -215,16 +215,24 @@ def test_dos2d_free_case_is_unimodal_on_support(tmp_path):
     (["sumset2d", "--lambda", "0.3", "--lambda2", "nan", "--depth", "6"], "sumset.csv"),
     (["sumset2d", "--lambda", "inf", "--depth", "6"], "sumset.csv"),
     (["sumset2d", "--lambda", "-1", "--depth", "6"], "sumset.csv"),
+    (["lyapunov", "--lambdas", "0.2,x", "--depth", "6"], "lyapunov.csv"),
+    (["tracemap", "--lambda", "0.5", "--depth", "6", "--max-iter", "0"], "cover.csv"),
+    (["tracemap", "--lambda", "0.5", "--depth", "6", "--max-iter", "-1"], "cover.csv"),
+    (["sumset2d", "--lambda", "0.5", "--depth", "6", "--max-iter", "0"], "sumset.csv"),
+    (["sumset2d", "--lambda", "0.5", "--depth", "6", "--max-iter", "-1"], "sumset.csv"),
+    (["regularity", "--depth", "3"], "regularity_report.json"),
+    (["regularity", "--samples", "0"], "regularity_report.json"),
 ])
 def test_bad_coupling_or_depth_is_usage_error(tmp_path, capsys, monkeypatch,
                                              args, artefact):
-    from quasispec import tracemap
+    from quasispec import regularity, tracemap
 
-    def no_cover(*_, **__):
-        raise AssertionError("a cover was computed before the check")
+    def no_work(*_, **__):
+        raise AssertionError("a cover or a word sample was computed before the check")
 
-    # every coupling and the depth are checked before any orbit is iterated
-    monkeypatch.setattr(tracemap, "escape_steps", no_cover)
+    # every parameter is checked before any orbit is iterated or word drawn
+    monkeypatch.setattr(tracemap, "escape_steps", no_work)
+    monkeypatch.setattr(regularity, "sample_pair", no_work)
     code, out = run(tmp_path, *args)
     assert code == 2
     assert "usage error" in capsys.readouterr().err

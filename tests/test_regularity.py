@@ -69,12 +69,46 @@ def test_phi_antisymmetric_and_leading_digit():
 
 def test_phi_geometric_bound_with_shared_prefix():
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        k = int(rng.integers(1, 9))
-        om, ta = sample_pair(rng, THIRDS, 12, k)
-        assert common_prefix_len(om, ta) == k
-        lam = 0.35
-        assert abs(phi(om, ta, lam, THIRDS)) <= (2 / 3) * lam ** k / (1 - lam) + 1e-15
+    lam = 0.35
+    for k in range(1, 9):
+        for om, ta in zip(*sample_pair(rng, THIRDS, 12, k, 25)):
+            assert common_prefix_len(om, ta) == k
+            assert abs(phi(om, ta, lam, THIRDS)) <= (2 / 3) * lam ** k / (1 - lam) + 1e-15
+
+
+def test_sample_pair_golden_mean_shift():
+    golden = SymbolicSystem(digits=(0.0, 1.0), transition=[[1, 1], [1, 0]])
+    rng = np.random.default_rng(5)
+    for k in range(10):
+        om, ta = sample_pair(rng, golden, 10, k, 300)
+        assert om.shape == ta.shape == (300, 10)
+        for w in (om, ta):
+            assert np.all(golden.transition[w[:, :-1], w[:, 1:]] == 1)
+        assert np.array_equal(om[:, :k], ta[:, :k])
+        assert np.all(om[:, k] != ta[:, k])
+        if k != 1:  # a prefix of length 1 must be the branching symbol 0
+            assert set(om[:, 0]) == {0, 1}
+
+
+def test_sample_pair_retries_then_gives_up_on_non_branching_prefixes():
+    # the chain alternates 1, 0, 1, ...: a prefix of length 1 is [1] and has
+    # one successor, a prefix of length 2 is [1, 0] and has two
+    lazy = SymbolicSystem(digits=(0.0, 1.0), transition=[[1, 1], [1, 0]],
+                          weights=(1e-13, 1.0 - 1e-13))
+    rng = np.random.default_rng(0)
+    with pytest.raises(RuntimeError):
+        sample_pair(rng, lazy, 6, 1, 5)
+    om, ta = sample_pair(rng, lazy, 6, 2, 5)
+    assert np.all(om[:, :2] == [1, 0]) and np.all(om[:, 2] != ta[:, 2])
+
+
+def test_sample_pair_suffix_frequencies_follow_weights():
+    skew = SymbolicSystem(digits=(0.0, 0.5), weights=(0.3, 0.7))
+    k = 2
+    om, ta = sample_pair(np.random.default_rng(11), skew, 20, k, 2000)
+    suffixes = np.concatenate([om[:, k + 1:], ta[:, k + 1:]]).ravel()
+    sigma = np.sqrt(0.3 * 0.7 / suffixes.size)
+    assert abs(np.mean(suffixes == 1) - 0.7) <= 4 * sigma
 
 
 def test_common_prefix_len():
