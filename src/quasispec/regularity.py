@@ -144,7 +144,7 @@ def sample_pair(rng, sys: SymbolicSystem, depth: int, k: int, n: int):
         raise RuntimeError("could not sample a branching pair; transition too sparse")
     a = rng.integers(nsucc)
     b = rng.integers(nsucc - 1)
-    b += b >= a
+    b += b >= a  # skip a: (a, b) is uniform over distinct successor pairs
     succ = np.argsort(rows[last] == 0, axis=1, kind="stable")  # successors first
     s, t = succ[np.arange(n), a], succ[np.arange(n), b]
     om = np.hstack([prefix, s[:, None], _markov_words(rng, sys, s, depth - k - 1)])
@@ -166,6 +166,7 @@ def _extreme_pairs(rng, sys: SymbolicSystem, depth: int, k: int):
     hi, lo = int(np.argmax(d)), int(np.argmin(d))
     prefix = _markov_words(rng, sys, np.full(1, sys.ell), k)[0]
     m = depth - k - 1
+    # row 0 is the aligned pair, row 1 the cancelling pair
     om = [np.r_[prefix, hi, np.full(m, hi)], np.r_[prefix, hi, np.full(m, lo)]]
     ta = [np.r_[prefix, lo, np.full(m, lo)], np.r_[prefix, lo, np.full(m, hi)]]
     return np.array(om), np.array(ta)
