@@ -22,6 +22,20 @@ from .separable2d import eigs2d_from_sums
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
+# least value of each integer flag; subcommands without the flag skip it
+_FLAG_MINIMA = {"seed": 0, "grid_points": 2, "e_samples": 1, "m": 1}
+
+
+def _check_flags(args):
+    """Usage checks that need no computation, made before any command runs."""
+    for name, least in _FLAG_MINIMA.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise ParameterError(f"--{name.replace('_', '-')} must be >= {least}")
+    if args.command in ("dimension", "dos2d") and args.samples < dos.MIN_SAMPLES:
+        raise ParameterError(f"--samples must be >= {dos.MIN_SAMPLES}")
+    if args.command == "regularity" and not 0.0 <= args.d_eta <= 1.0:
+        raise ParameterError("--d-eta must be a finite value in [0, 1]")
 
 
 def _model(args, which=1) -> ModelParams:
@@ -298,6 +312,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
+        _check_flags(args)
         args.func(args, out)
     except ParameterError as err:
         print(f"usage error: {err}", file=sys.stderr)

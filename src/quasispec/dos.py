@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PAIR_CAP = 10**8  # convolution size guard
+MIN_SAMPLES = 100  # least atom sample of local_dimension
 
 
 @dataclass(frozen=True)
@@ -245,8 +246,8 @@ def local_dimension(m: AtomicMeasure, radii, samples: int = 400,
         raise ValueError("need at least 3 radii")
     if np.any(radii <= 0) or np.any(np.diff(radii) >= 0):
         raise ValueError("radii must be positive and strictly decreasing")
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     if len(m) > 1 and radii.min() < max(m.merge_tol, 1e-15):
         raise ValueError("radius below atom resolution: measure is atomic at that scale")
     rng = np.random.default_rng(seed)

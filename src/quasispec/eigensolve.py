@@ -18,6 +18,8 @@ from .io import atomic_write
 from .model import ModelParams, potential_vector
 
 _JACOBI_MAX_DIM = 256
+_BLOCK_ROWS = 32
+_BLOCK_FLOATS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -89,18 +91,49 @@ def sturm_count_batch(m: TridiagMatrix, energies: np.ndarray) -> np.ndarray:
     e.  Pivots inside (-eps, eps) with eps = 2^-52 * scale are pushed to +-eps
     keeping their sign (exact zeros to +eps, so an eigenvalue sitting exactly
     at e is not counted); this keeps the recursion finite and deterministic.
+
+    The sites run in blocks: one row of a scratch array per site, at most
+    32 rows and about 2^17 floats.  A block is first stepped without the
+    clamp, three in-place ufunc calls per site.  Block invariant: when a
+    block is counted, its rows hold the clamped pivots bit for bit, and its
+    last row is the entering pivot of the next block.  The clamp is the
+    identity where |d| >= eps, so an unclamped column whose pivots all pass
+    that test already equals the clamped one; any other column (a pivot
+    below eps, or NaN) is recomputed from its entering pivot with the clamp.
     """
     e = np.asarray(energies, dtype=float)
-    diag = m.diag
-    eps = np.ldexp(_pivot_scale(diag), -52)
-    d = diag[0] - e
-    d = np.where(np.abs(d) < eps, np.where(d < 0, -eps, eps), d)
-    count = (d < 0).astype(np.int64)
-    for i in range(1, diag.size):
-        d = diag[i] - e - 1.0 / d
-        d = np.where(np.abs(d) < eps, np.where(d < 0, -eps, eps), d)
-        count += d < 0
-    return count
+    shape = e.shape
+    e = e.ravel()
+    count = np.zeros(e.size, dtype=np.int64)
+    if e.size == 0:
+        return count.reshape(shape)
+    diag = m.diag.tolist()
+    eps = np.ldexp(_pivot_scale(m.diag), -52)
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_FLOATS // e.size))
+    block = np.empty((rows, e.size))
+    r = np.empty(e.size)
+    # 1/inf = +0.0, and x - 0.0 == x bit for bit, so site 0 gives diag_0 - e
+    entering = np.full(e.size, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for start in range(0, len(diag), rows):
+            sites = diag[start:start + rows]
+            piv = block[:len(sites)]
+            d = entering
+            for diag_i, row in zip(sites, piv):
+                np.divide(1.0, d, out=r)
+                np.subtract(diag_i, e, out=row)
+                np.subtract(row, r, out=row)
+                d = row
+            bad = ~(np.abs(piv).min(axis=0) >= eps)
+            if bad.any():
+                d, e_bad = entering[bad], e[bad]
+                for diag_i, row in zip(sites, piv):
+                    d = diag_i - e_bad - 1.0 / d
+                    d = np.where(np.abs(d) < eps, np.where(d < 0, -eps, eps), d)
+                    row[bad] = d
+            count += np.count_nonzero(piv < 0, axis=0)
+            entering[:] = piv[-1]
+    return count.reshape(shape)
 
 
 def eigenvalues_bisect(m: TridiagMatrix, tol: float | None = None,

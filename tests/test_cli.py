@@ -222,6 +222,16 @@ def test_dos2d_free_case_is_unimodal_on_support(tmp_path):
     (["sumset2d", "--lambda", "0.5", "--depth", "6", "--max-iter", "-1"], "sumset.csv"),
     (["regularity", "--depth", "3"], "regularity_report.json"),
     (["regularity", "--samples", "0"], "regularity_report.json"),
+    (["ids", "--grid-points", "0"], "ids.csv"),
+    (["ids", "--grid-points", "1"], "ids.csv"),
+    (["dimension", "--samples", "50"], "dimension.csv"),
+    (["dos2d", "--samples", "99"], "dos2d.csv"),
+    (["regularity", "--seed", "-1"], "regularity_report.json"),
+    (["spectrum1d", "--seed", "-1"], "spectrum1d.csv"),
+    (["regularity", "--d-eta", "nan"], "regularity_report.json"),
+    (["regularity", "--d-eta", "1.5"], "regularity_report.json"),
+    (["lyapunov", "--e-samples", "0", "--depth", "6"], "lyapunov.csv"),
+    (["lyapunov", "--m", "0", "--depth", "6"], "lyapunov.csv"),
 ])
 def test_bad_coupling_or_depth_is_usage_error(tmp_path, capsys, monkeypatch,
                                              args, artefact):
