@@ -105,11 +105,9 @@ def sturm_count_batch(m: TridiagMatrix, energies: np.ndarray) -> np.ndarray:
     shape = e.shape
     e = e.ravel()
     count = np.zeros(e.size, dtype=np.int64)
-    if e.size == 0:
-        return count.reshape(shape)
     diag = m.diag.tolist()
     eps = np.ldexp(_pivot_scale(m.diag), -52)
-    rows = max(1, min(_BLOCK_ROWS, _BLOCK_FLOATS // e.size))
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_FLOATS // max(e.size, 1)))
     block = np.empty((rows, e.size))
     r = np.empty(e.size)
     # 1/inf = +0.0, and x - 0.0 == x bit for bit, so site 0 gives diag_0 - e
