@@ -14,15 +14,19 @@ from .dos import (
     convolve,
     empirical_measure,
     ids_curve,
+    ids_from_counts,
     kde_density,
     l2_bandwidth_trend,
     l2_norm,
     local_dimension,
+    local_dimension_from_counts,
     sup_cdf_distance,
     uniform_measure,
 )
 from .eigensolve import (
+    BoxCounter,
     Spectrum1D,
+    box_counter,
     TridiagMatrix,
     cached_spectrum,
     eigenvalues_bisect,
@@ -38,7 +42,14 @@ from .intervals import (
     lebesgue_length,
     sumset,
 )
-from .model import GOLDEN_CONJUGATE, ModelParams, potential_value, potential_vector, substitution_word
+from .model import (
+    GOLDEN_CONJUGATE,
+    ModelParams,
+    potential_value,
+    potential_vector,
+    site_letters,
+    substitution_word,
+)
 from .regularity import (
     SymbolicSystem,
     TransversalityReport,

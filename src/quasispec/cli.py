@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dos, io, regularity, tracemap
 from .calibration import KDE_BANDWIDTHS, L2_FLAG_GROWTH
-from .eigensolve import cached_spectrum
+from .eigensolve import box_counter, cached_spectrum
 from .intervals import box_dimension, gap_report, lebesgue_length, sumset
 from .model import ModelParams, ParameterError, check_coupling
 from .separable2d import eigs2d_from_sums
@@ -23,7 +23,7 @@ from .separable2d import eigs2d_from_sums
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
 # least value of each integer flag; subcommands without the flag skip it
-_FLAG_MINIMA = {"seed": 0, "grid_points": 2, "e_samples": 1, "m": 1}
+_FLAG_MINIMA = {"seed": 0, "grid_points": 2, "e_samples": 2, "m": 1}
 
 
 def _check_flags(args):
@@ -63,13 +63,13 @@ def cmd_spectrum1d(args, out: Path):
 
 def cmd_ids(args, out: Path):
     t0 = time.time()
-    spec = _spectrum(args)
-    lo, hi = spec.eigenvalues[0] - 0.1, spec.eigenvalues[-1] + 0.1
-    grid = np.linspace(lo, hi, args.grid_points)
-    curve = dos.ids_curve(spec, grid)
-    f = io.write_csv(out / "ids.csv", ["energy", "ids"], curve)
+    counter = box_counter(_model(args), start=args.start)
+    first, last = counter.eigenvalues(np.array([1, args.n]))
+    grid = np.linspace(first - 0.1, last + 0.1, args.grid_points)
+    f = io.write_csv(out / "ids.csv", ["energy", "ids"], dos.ids_from_counts(counter, grid))
     io.write_manifest(out / "ids.manifest.json", "ids", _param_map(args),
-                      [f], time.time() - t0, seed=args.seed)
+                      [f], time.time() - t0, seed=args.seed,
+                      extra={"count_backend": counter.backend})
     return [f]
 
 
@@ -113,16 +113,16 @@ def cmd_lyapunov(args, out: Path):
 
 def cmd_dimension(args, out: Path):
     t0 = time.time()
-    spec = _spectrum(args)
-    measure = dos.empirical_measure(spec)
+    counter = box_counter(_model(args), start=args.start)
     radii = [2.0 ** -j for j in range(4, 10)]
-    slope, err = dos.local_dimension(measure, radii, samples=args.samples,
-                                     seed=args.seed)
+    slope, err = dos.local_dimension_from_counts(counter, radii, samples=args.samples,
+                                                 seed=args.seed)
     f = io.write_csv(out / "dimension.csv",
                      ["lambda", "local_dimension", "stderr"],
                      [(args.lam, slope, err)])
     io.write_manifest(out / "dimension.manifest.json", "dimension",
-                      _param_map(args), [f], time.time() - t0, seed=args.seed)
+                      _param_map(args), [f], time.time() - t0, seed=args.seed,
+                      extra={"count_backend": counter.backend})
     return [f]
 
 

@@ -241,6 +241,39 @@ def local_dimension(m: AtomicMeasure, radii, samples: int = 400,
     log m(B_r(x)) per radius, and least-squares fits the averaged points.
     Returns (slope, standard error of the slope).
     """
+    radii = _dimension_radii(radii, samples)
+    if len(m) > 1 and radii.min() < max(m.merge_tol, 1e-15):
+        raise ValueError("radius below atom resolution: measure is atomic at that scale")
+    rng = np.random.default_rng(seed)
+    xs = m.sample(samples, rng)
+    logm = np.array([np.mean(np.log(m.ball_mass(xs, r))) for r in radii])
+    return _slope_with_stderr(np.log(radii), logm)
+
+
+def local_dimension_from_counts(counter, radii, samples: int = 400,
+                                seed: int = 0) -> tuple[float, float]:
+    """local_dimension of a box's empirical DOS measure, from counts alone.
+
+    counter gives n, count(E) (eigenvalues below E) and eigenvalues(ranks),
+    as `eigensolve.BoxCounter` does.  The atoms are drawn by the same
+    rng.choice as AtomicMeasure.sample on n equal weights, only the drawn
+    ranks are bisected, and each ball mass is a difference of two counts,
+    all x +- r in one count call.  Without merged atoms this is the
+    estimate of local_dimension(empirical_measure(spectrum)).
+    """
+    radii = _dimension_radii(radii, samples)
+    n = counter.n
+    w = np.full(n, 1.0 / n)
+    idx = np.random.default_rng(seed).choice(n, size=samples, p=w / w.sum())
+    ranks, which = np.unique(idx, return_inverse=True)
+    xs = counter.eigenvalues(ranks + 1)[which]
+    r = radii[:, None]
+    cum = _count_cdf(n)[counter.count(np.stack([xs + r, xs - r]))]
+    logm = np.array([np.mean(np.log(hi - lo)) for hi, lo in zip(*cum)])
+    return _slope_with_stderr(np.log(radii), logm)
+
+
+def _dimension_radii(radii, samples):
     radii = np.asarray(radii, dtype=float)
     if radii.size < 3:
         raise ValueError("need at least 3 radii")
@@ -248,13 +281,7 @@ def local_dimension(m: AtomicMeasure, radii, samples: int = 400,
         raise ValueError("radii must be positive and strictly decreasing")
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
-    if len(m) > 1 and radii.min() < max(m.merge_tol, 1e-15):
-        raise ValueError("radius below atom resolution: measure is atomic at that scale")
-    rng = np.random.default_rng(seed)
-    xs = m.sample(samples, rng)
-    logr = np.log(radii)
-    logm = np.array([np.mean(np.log(m.ball_mass(xs, r))) for r in radii])
-    return _slope_with_stderr(logr, logm)
+    return radii
 
 
 def _slope_with_stderr(x, y) -> tuple[float, float]:
@@ -275,6 +302,21 @@ def ids_curve(eigs, energies) -> np.ndarray:
     m = empirical_measure(eigs)
     e = np.asarray(energies, dtype=float)
     return np.column_stack([e, m.mass_leq(e)])
+
+
+def ids_from_counts(counter, energies) -> np.ndarray:
+    """ids_curve of a box's empirical DOS measure, from counts alone.
+
+    counter.count(E) (eigenvalues strictly below E, as `eigensolve.BoxCounter`
+    gives) stands for the atoms <= E; the two differ only at an eigenvalue.
+    """
+    e = np.asarray(energies, dtype=float)
+    return np.column_stack([e, _count_cdf(counter.n)[counter.count(e)]])
+
+
+def _count_cdf(n):
+    """mass_leq's cumulative weights of n unmerged atoms of weight 1/n."""
+    return np.clip(np.concatenate(([0.0], np.cumsum(np.full(n, 1.0 / n)))), 0.0, 1.0)
 
 
 def uniform_measure(lo: float, hi: float, n_atoms: int) -> AtomicMeasure:

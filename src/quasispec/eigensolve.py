@@ -4,6 +4,8 @@ All matrices have unit off-diagonal entries (hopping 1) and a real diagonal,
 i.e. Dirichlet restrictions of discrete Schrodinger operators.  A cyclic
 Jacobi solver for small dense symmetric matrices serves as the independent
 oracle.  No eigenvectors anywhere: the density of states only needs counts.
+Counts of a Fibonacci box also come from products of the transfer matrices
+of the Fibonacci words (`box_counter`), O(log N) per energy.
 """
 
 import hashlib
@@ -15,11 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .io import atomic_write
-from .model import ModelParams, potential_vector
+from .model import ModelParams, potential_vector, site_letters
 
 _JACOBI_MAX_DIM = 256
 _BLOCK_ROWS = 32
 _BLOCK_FLOATS = 1 << 17
+_COUNT_BLOCK = 1024  # energies per block of a lifted count
 
 
 @dataclass(frozen=True)
@@ -146,18 +149,174 @@ def eigenvalues_bisect(m: TridiagMatrix, tol: float | None = None,
         tol = 1e-12 * _pivot_scale(m.diag)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    n = m.n
-    glo, ghi = m.gershgorin()
-    lo = np.full(n, glo)
-    hi = np.full(n, ghi)
-    want = np.arange(1, n + 1)
+    eigs = _bisect_ranks(lambda e: sturm_count_batch(m, e), np.arange(1, m.n + 1),
+                         *m.gershgorin(), tol)
+    return Spectrum1D(np.sort(eigs), params=params, tol=tol)
+
+
+def _bisect_ranks(count, ranks, lo, hi, tol):
+    """Midpoints of the brackets of the eigenvalues of the given ranks.
+
+    Rank k (1 = smallest) is bisected inside [lo, hi] on count(E) >= k; all
+    brackets halve together, on one count call per step, until every one is
+    at most tol wide.
+    """
+    lo = np.full(ranks.shape, lo)
+    hi = np.full(ranks.shape, hi)
     while np.max(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
-        have = sturm_count_batch(m, mid) >= want
+        have = count(mid) >= ranks
         hi = np.where(have, mid, hi)
         lo = np.where(have, lo, mid)
-    eigs = np.sort(0.5 * (lo + hi))
-    return Spectrum1D(eigs, params=params, tol=tol)
+    return 0.5 * (lo + hi)
+
+
+def _fibonacci_words(min_len):
+    """Letter counts of w_0, w_1, ..., w_K and the word w_K, |w_K| >= min_len.
+
+    w_0 = 0, w_1 = 1 and w_k = w_{k-1} w_{k-2}, as bytes 0 and 1 (1 stands for
+    lam); every w_k with k >= 1 is a prefix of the fixed point c = 1011010110...
+    """
+    lengths, prev, word = [1, 1], b"\x00", b"\x01"
+    while len(word) < min_len:
+        prev, word = word, word + prev
+        lengths.append(len(word))
+    return lengths, word
+
+
+def _pieces(k, lo, hi, lengths):
+    """Indices j of the whole words w_j that tile letters [lo, hi) of w_k, in order."""
+    if lo == 0 and hi == lengths[k]:
+        return [k]
+    left = lengths[k - 1]  # w_k = w_{k-1} w_{k-2}
+    if hi <= left:
+        return _pieces(k - 1, lo, hi, lengths)
+    if lo >= left:
+        return _pieces(k - 2, lo - left, hi - left, lengths)
+    return _pieces(k - 1, lo, left, lengths) + _pieces(k - 2, 0, hi - left, lengths)
+
+
+def _signed_angle(a):
+    """Angle t in [0, pi] of each first column signed by s = copysign(1, y), and s."""
+    x, y = a[0, 0], a[1, 0]
+    s = np.copysign(1.0, y)
+    return np.arctan2(np.abs(y), s * x), s
+
+
+def _letter(e, v):
+    """The transfer matrix [[E - v, -1], [1, 0]] of one site, as a lifted element.
+
+    A lifted element is (a, n, t, s): a[i, j] holds entry (i, j) of one
+    matrix per energy, scaled by its largest entry, and n*pi + t is the
+    lifted angle of its first column, whose signed angle t and sign s come
+    from `_signed_angle`.
+    """
+    a = np.zeros((2, 2, e.size))
+    a[0, 0] = e - v
+    a[0, 1] = -1.0
+    a[1, 0] = 1.0
+    a /= np.maximum(np.abs(a[0, 0]), 1.0)
+    return (a, np.zeros(e.size), *_signed_angle(a))
+
+
+def _compose(g, h):
+    """The lifted element of g after h (the matrix product g h).
+
+    w, h's first column times its sign s_h, has angle t_h in [0, pi], so g
+    turns e1 and w by lifted angles that differ by delta in [0, pi], the
+    angle from g e1 to g w.  In a gap long products are near rank one and
+    g e1, g w nearly (anti)parallel; clamping the cross product at 0 lets
+    the sign of the dot product decide between delta = 0 and delta = pi.
+    Then n*pi + t = (n_g + n_h)*pi + t_g + delta fixes n.
+    """
+    ga, gn, gt, _ = g
+    ha, hn, _, hs = h
+    a = ga[:, :1] * ha[:1] + ga[:, 1:] * ha[1:]
+    a /= np.abs(a).max(axis=(0, 1))
+    px, py = hs * a[0, 0], hs * a[1, 0]  # g w
+    gx, gy = ga[0, 0], ga[1, 0]
+    delta = np.arctan2(np.maximum(gx * py - gy * px, 0.0), gx * px + gy * py)
+    t, s = _signed_angle(a)
+    return a, gn + hn + np.rint((gt + delta - t) / np.pi), t, s
+
+
+@dataclass(frozen=True)
+class BoxCounter:
+    """Eigenvalue counts of one Fibonacci box, and bisected eigenvalues.
+
+    backend "lifted": the box's letters sit at letters [s, s + N) of the
+    fixed point c, which `pieces` tiles with whole words w_j.  Their transfer
+    matrices follow M_0 = T_0, M_1 = T_lam and M_k = M_{k-2} M_{k-1}, so a
+    count costs O(log N) 2x2 products per energy (Kohmoto-Kadanoff-Tang).
+    Each product is carried as a lifted element: the matrix scaled by its
+    largest entry and the half-turns n of the lifted angle of its first
+    column, which starts at e1.  With x the first column's x-component after
+    the signing of `_signed_angle`, count(E) = N - n - [x <= 0].  Energies go in
+    blocks of 1024, which bounds the memory of a call.
+    backend "sturm": letters not found in c; counts are Sturm passes.
+    """
+
+    matrix: TridiagMatrix
+    lam: float
+    backend: str
+    pieces: tuple[int, ...] = ()
+
+    @property
+    def n(self) -> int:
+        return self.matrix.n
+
+    @property
+    def tol(self) -> float:
+        """The bisection tolerance eigenvalues_bisect uses by default."""
+        return 1e-12 * _pivot_scale(self.matrix.diag)
+
+    def count(self, energies) -> np.ndarray:
+        """Number of eigenvalues strictly below each energy."""
+        if self.backend == "sturm":
+            return sturm_count_batch(self.matrix, energies)
+        e = np.asarray(energies, dtype=float)
+        flat = e.ravel()
+        out = np.empty(flat.size, dtype=np.int64)
+        for i in range(0, flat.size, _COUNT_BLOCK):
+            out[i:i + _COUNT_BLOCK] = self._lifted_count(flat[i:i + _COUNT_BLOCK])
+        return out.reshape(e.shape)
+
+    def _lifted_count(self, e):
+        words = [_letter(e, 0.0), _letter(e, self.lam)]
+        for _ in range(2, max(self.pieces) + 1):
+            words.append(_compose(words[-2], words[-1]))
+        acc = words[self.pieces[0]]
+        for j in self.pieces[1:]:
+            acc = _compose(words[j], acc)
+        a, n, _, s = acc
+        return self.n - n.astype(np.int64) - (s * a[0, 0] <= 0)
+
+    def eigenvalues(self, ranks) -> np.ndarray:
+        """Eigenvalues of the given ranks (1 = smallest), bisected on these
+        counts from the Gershgorin interval to the default tolerance of
+        eigenvalues_bisect."""
+        return _bisect_ranks(self.count, np.asarray(ranks), *self.matrix.gershgorin(),
+                             self.tol)
+
+
+def box_counter(p: ModelParams, start: int = 0) -> BoxCounter:
+    """Counts of the Fibonacci box on sites start..start+N-1.
+
+    The letters come from `site_letters`, the indicator of `potential_vector`,
+    so a located box has exactly the diagonal that a Sturm pass sees.  They
+    are searched for in the first 3N + 8 letters of c; a factor of c of
+    length N occurs there, since the Fibonacci word is linearly recurrent.
+    When they are not found (a rotation number other than the golden one,
+    say), the counter falls back to Sturm passes.
+    """
+    letters = site_letters(start, p)
+    m = TridiagMatrix(np.where(letters, p.lam, 0.0))
+    lengths, c = _fibonacci_words(3 * p.n_sites + 8)
+    s = c.find(letters.astype(np.uint8).tobytes())
+    if s < 0:
+        return BoxCounter(m, p.lam, "sturm")
+    return BoxCounter(m, p.lam, "lifted",
+                      tuple(_pieces(len(lengths) - 1, s, s + p.n_sites, lengths)))
 
 
 def jacobi_dense(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -79,8 +79,8 @@ def potential_value(n: int, p: ModelParams) -> float:
     return p.lam if _indicator(n, p.alpha, p.omega) else 0.0
 
 
-def potential_vector(start: int, p: ModelParams) -> np.ndarray:
-    """Potential on sites start .. start + n_sites - 1."""
+def site_letters(start: int, p: ModelParams) -> np.ndarray:
+    """Letters on sites start .. start + n_sites - 1: True where the potential is lam."""
     idx = np.arange(start, start + p.n_sites, dtype=float)
     t = np.mod(idx * p.alpha + p.omega, 1.0)
     edge = 1.0 - p.alpha
@@ -89,7 +89,12 @@ def potential_vector(start: int, p: ModelParams) -> np.ndarray:
     if near.any():
         for i in np.where(near)[0]:
             hit[i] = _indicator(start + int(i), p.alpha, p.omega)
-    return np.where(hit, p.lam, 0.0)
+    return hit
+
+
+def potential_vector(start: int, p: ModelParams) -> np.ndarray:
+    """Potential on sites start .. start + n_sites - 1."""
+    return np.where(site_letters(start, p), p.lam, 0.0)
 
 
 def substitution_word(k: int, max_depth: int = _MAX_SUBSTITUTION_DEPTH) -> str:

@@ -233,8 +233,11 @@ def lyapunov_scan(lambdas, e_samples: int, m: int, depth: int = 10,
     For each coupling, candidate energies are drawn uniformly from a spectrum
     cover and refined until their orbits survive `filter_steps` (default 2m)
     iterations, then the m-step exponents are averaged.  The spread is the
-    standard error of the mean.  Deterministic for a fixed seed.
+    standard error of the mean, so at least two energies are needed.
+    Deterministic for a fixed seed.
     """
+    if e_samples < 2:
+        raise ValueError("need at least 2 energies per coupling to estimate a spread")
     lambdas = list(lambdas)
     if not lambdas:
         raise ValueError("empty coupling grid")
@@ -269,6 +272,6 @@ def lyapunov_scan(lambdas, e_samples: int, m: int, depth: int = 10,
             raise RuntimeError(f"no bounded energies found at lam={lam} "
                                f"for an {filter_steps}-step horizon")
         exps = np.asarray(exps)
-        spread = float(exps.std(ddof=1) / np.sqrt(exps.size)) if exps.size > 1 else 0.0
+        spread = float(exps.std(ddof=1) / np.sqrt(exps.size))
         out.append((float(lam), float(exps.mean()), spread))
     return out

@@ -231,6 +231,7 @@ def test_dos2d_free_case_is_unimodal_on_support(tmp_path):
     (["regularity", "--d-eta", "nan"], "regularity_report.json"),
     (["regularity", "--d-eta", "1.5"], "regularity_report.json"),
     (["lyapunov", "--e-samples", "0", "--depth", "6"], "lyapunov.csv"),
+    (["lyapunov", "--e-samples", "1", "--depth", "6"], "lyapunov.csv"),
     (["lyapunov", "--m", "0", "--depth", "6"], "lyapunov.csv"),
 ])
 def test_bad_coupling_or_depth_is_usage_error(tmp_path, capsys, monkeypatch,

@@ -182,6 +182,11 @@ def test_lyapunov_scan_rejects_empty_grid():
         lyapunov_scan([], 4, 20)
 
 
+def test_lyapunov_scan_needs_two_energies_for_a_spread():
+    with pytest.raises(ValueError, match="at least 2"):
+        lyapunov_scan([0.5], 1, 20, depth=8)
+
+
 def test_lyapunov_scan_free_coupling_entry():
     rows = lyapunov_scan([0.0], 8, 40, depth=10, seed=1)
     assert np.isfinite(rows[0][1]) and rows[0][1] > 0
