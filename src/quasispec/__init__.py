@@ -26,8 +26,8 @@ from .dos import (
 from .eigensolve import (
     BoxCounter,
     Spectrum1D,
-    box_counter,
     TridiagMatrix,
+    box_counter,
     cached_spectrum,
     eigenvalues_bisect,
     fibonacci_tridiag,
