@@ -11,10 +11,9 @@ import numpy as np
 from quasispec import (
     GOLDEN_CONJUGATE,
     ModelParams,
+    cached_spectrum,
     cdf,
-    eigenvalues_bisect,
     empirical_measure,
-    fibonacci_tridiag,
     ids_curve,
     potential_vector,
     substitution_word,
@@ -32,7 +31,7 @@ print("(the circle-map coding and the substitution fixed point agree)\n")
 
 for lam in (0.0, 1.0):
     p = ModelParams(lam, n_sites=1000)
-    spec = eigenvalues_bisect(fibonacci_tridiag(p), params=p)
+    spec = cached_spectrum(p)
     e = spec.eigenvalues
     print(f"lam={lam}: N=1000 box, E in [{e[0]:+.4f}, {e[-1]:+.4f}]")
     if lam == 0.0:
@@ -42,7 +41,7 @@ for lam in (0.0, 1.0):
 # --- integrated density of states ------------------------------------------
 
 p = ModelParams(1.0, n_sites=1000)
-spec = eigenvalues_bisect(fibonacci_tridiag(p), params=p)
+spec = cached_spectrum(p)
 measure = empirical_measure(spec)
 print("\nIDS of the lam=1 box at selected energies:")
 for e0 in (-2.0, -1.0, 0.0, 1.0, 2.0, 3.0):

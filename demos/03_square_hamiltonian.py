@@ -11,12 +11,11 @@ import numpy as np
 from quasispec import (
     BoxSpec2D,
     ModelParams,
+    cached_spectrum,
     convolve,
-    eigenvalues_bisect,
     eigs2d_dense,
     eigs2d_from_sums,
     empirical_measure,
-    fibonacci_tridiag,
     gap_report,
     lebesgue_length,
     spectrum_cover,
@@ -26,8 +25,7 @@ from quasispec import (
 
 
 def spectrum(lam, n):
-    p = ModelParams(lam, n_sites=n)
-    return eigenvalues_bisect(fibonacci_tridiag(p), params=p)
+    return cached_spectrum(ModelParams(lam, n_sites=n))
 
 
 # --- tensor-sum identity, dense oracle scale ---------------------------------

@@ -21,7 +21,6 @@ from .dos import (
     local_dimension,
     local_dimension_from_counts,
     sup_cdf_distance,
-    uniform_measure,
 )
 from .eigensolve import (
     BoxCounter,
@@ -29,6 +28,7 @@ from .eigensolve import (
     TridiagMatrix,
     box_counter,
     cached_spectrum,
+    certified_spectrum,
     eigenvalues_bisect,
     fibonacci_tridiag,
     jacobi_dense,
@@ -45,7 +45,6 @@ from .intervals import (
 from .model import (
     GOLDEN_CONJUGATE,
     ModelParams,
-    potential_value,
     potential_vector,
     site_letters,
     substitution_word,
@@ -53,7 +52,6 @@ from .model import (
 from .regularity import (
     SymbolicSystem,
     TransversalityReport,
-    common_prefix_len,
     correlation_integral,
     criterion_verdict,
     estimate_cond1,
@@ -61,8 +59,6 @@ from .regularity import (
     measure_decay,
     middle_cantor_system,
     near_far_split,
-    phi,
-    pi_lambda,
     transversality_report,
 )
 from .separable2d import BoxSpec2D, assemble_dense_2d, eigs2d_dense, eigs2d_from_sums
@@ -76,7 +72,6 @@ from .tracemap import (
     lyapunov_scan,
     spectrum_cover,
     trace_step,
-    trace_step_inverse,
 )
 
 __version__ = "0.1.0"

@@ -319,12 +319,6 @@ def _count_cdf(n):
     return np.clip(np.concatenate(([0.0], np.cumsum(np.full(n, 1.0 / n)))), 0.0, 1.0)
 
 
-def uniform_measure(lo: float, hi: float, n_atoms: int) -> AtomicMeasure:
-    """n_atoms equally weighted atoms, evenly spread over [lo, hi]."""
-    pos = np.linspace(lo, hi, n_atoms)
-    return AtomicMeasure(pos, np.full(n_atoms, 1.0 / n_atoms))
-
-
 def cantor_lebesgue(ratio: float, depth: int) -> AtomicMeasure:
     """Depth-k approximation of the Cantor-Lebesgue measure on [0, 1].
 

@@ -5,7 +5,10 @@ i.e. Dirichlet restrictions of discrete Schrodinger operators.  A cyclic
 Jacobi solver for small dense symmetric matrices serves as the independent
 oracle.  No eigenvectors anywhere: the density of states only needs counts.
 Counts of a Fibonacci box also come from products of the transfer matrices
-of the Fibonacci words (`box_counter`), O(log N) per energy.
+of the Fibonacci words (`box_counter`), O(log N) per energy.  A box's whole
+spectrum (`certified_spectrum`, behind `cached_spectrum`) is bisected on
+those counts and certified by one Sturm pass, so it equals the Sturm
+bisection of `eigenvalues_bisect` bit for bit.
 """
 
 import hashlib
@@ -23,6 +26,8 @@ _JACOBI_MAX_DIM = 256
 _BLOCK_ROWS = 32
 _BLOCK_FLOATS = 1 << 17
 _COUNT_BLOCK = 512  # energies per block of a lifted count
+_REPAIR_PROBES = 8  # probes on each side of a bracket that failed its certificate
+_CERTIFY_MIN_SITES = 128  # smaller boxes bisect faster on Sturm counts alone
 
 
 @dataclass(frozen=True)
@@ -149,26 +154,28 @@ def eigenvalues_bisect(m: TridiagMatrix, tol: float | None = None,
         tol = 1e-12 * _pivot_scale(m.diag)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    eigs = _bisect_ranks(lambda e: sturm_count_batch(m, e), np.arange(1, m.n + 1),
-                         *m.gershgorin(), tol)
-    return Spectrum1D(np.sort(eigs), params=params, tol=tol)
+    lo, hi, _ = _bisect_ranks(lambda e: sturm_count_batch(m, e), np.arange(1, m.n + 1),
+                              *m.gershgorin(), tol)
+    return Spectrum1D(np.sort(0.5 * (lo + hi)), params=params, tol=tol)
 
 
 def _bisect_ranks(count, ranks, lo, hi, tol):
-    """Midpoints of the brackets of the eigenvalues of the given ranks.
+    """Brackets (lo, hi) of the eigenvalues of the given ranks, and the halvings.
 
     Rank k (1 = smallest) is bisected inside [lo, hi] on count(E) >= k; all
     brackets halve together, on one count call per step, until every one is
-    at most tol wide.
+    at most tol wide.  The eigenvalue is the bracket's midpoint.
     """
     lo = np.full(ranks.shape, lo)
     hi = np.full(ranks.shape, hi)
+    halvings = 0
     while np.max(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
         have = count(mid) >= ranks
         hi = np.where(have, mid, hi)
         lo = np.where(have, lo, mid)
-    return 0.5 * (lo + hi)
+        halvings += 1
+    return lo, hi, halvings
 
 
 def _fibonacci_words(min_len):
@@ -296,8 +303,9 @@ class BoxCounter:
         """Eigenvalues of the given ranks (1 = smallest), bisected on these
         counts from the Gershgorin interval to the default tolerance of
         eigenvalues_bisect."""
-        return _bisect_ranks(self.count, np.asarray(ranks), *self.matrix.gershgorin(),
-                             self.tol)
+        lo, hi, _ = _bisect_ranks(self.count, np.asarray(ranks), *self.matrix.gershgorin(),
+                                  self.tol)
+        return 0.5 * (lo + hi)
 
 
 def box_counter(p: ModelParams, start: int = 0) -> BoxCounter:
@@ -318,6 +326,90 @@ def box_counter(p: ModelParams, start: int = 0) -> BoxCounter:
         return BoxCounter(m, p.lam, "sturm")
     return BoxCounter(m, p.lam, "lifted",
                       tuple(_pieces(len(lengths) - 1, s, s + p.n_sites, lengths)))
+
+
+def certified_spectrum(p: ModelParams, start: int = 0,
+                       tol: float | None = None) -> Spectrum1D:
+    """All eigenvalues of the Fibonacci box, equal bit for bit to eigenvalues_bisect.
+
+    Propose: every rank 1..N is bisected on the box's lifted counts, from the
+    Gershgorin interval to tol, by the loop of eigenvalues_bisect.  Certify:
+    one Sturm pass over the distinct bracket ends keeps rank k when
+    sturm(lo_k) < k <= sturm(hi_k).  Repair: one more Sturm pass probes each
+    failed bracket widened by 1, 2, 4, ..., 128 widths on either side, and
+    the failed ranks are bisected on Sturm counts from the Gershgorin
+    interval.  There a midpoint at or below a probe whose count is below k,
+    or at or above one whose count is at least k, takes that probe's count
+    instead of a pass; by monotonicity both decide the step alike.  When the
+    repair halves a different number of times than the lifted run, the box
+    has no lifted counts, or it has fewer than 128 sites, the result is
+    eigenvalues_bisect itself: below about 128 sites the lifted bisection's
+    41 calls of O(log N) products cost more than 41 Sturm passes.
+
+    Why this is exact.  Every run's brackets are nodes of one tree: the
+    Gershgorin interval, split at 0.5 * (lo + hi).  If the Sturm count is
+    monotone in E, exactly one node per level satisfies the certificate, and
+    Sturm bisection of rank k passes through it.  A run halves until every
+    bracket is at most tol wide, so it stops at the largest of its paths'
+    stopping levels, each the level where that path's width first drops to
+    tol or below.  A certified bracket is a node of the Sturm path, which
+    therefore stops no later than the lifted run.  So when the repair halves
+    as often as the lifted run, so does Sturm bisection, and every bracket
+    is its bracket.
+
+    Why the count is monotone (Kahan; Demmel-Dhillon-Ren 1995).  Order the
+    states (c, d) of the pass (c negative pivots so far, d the last pivot)
+    by c, then d < 0 before d > 0, then by decreasing d.  A site sends
+    (c, d) to (c + [d' < 0], d') with d' = clamp(fl(fl(a - E) - fl(1/d))).
+    Rounding is monotone, fl(a - E) does not increase with E, fl(1/d) does
+    not increase with d on either sign, and the clamp, which sends (-eps, 0)
+    to -eps and [0, eps) (-0.0 too) to +eps, does not decrease.  Take
+    (c1, d1) <= (c2, d2) and E1 <= E2.  If c1 < c2, the new counts can only
+    meet with d1' < 0 < d2'.  If c1 = c2, then d1 < 0 < d2 or d1 >= d2 with
+    one sign, so fl(1/d1) <= fl(1/d2) and d1' >= d2'.  Either way the new
+    states keep their order.  Every energy starts from (0, +inf), so
+    sturm(E1) <= sturm(E2); the blocked pass computes these pivots bit for
+    bit.
+    """
+    counter = box_counter(p, start)
+    m = counter.matrix
+    if tol is None:
+        tol = counter.tol
+    if counter.backend == "sturm" or m.n < _CERTIFY_MIN_SITES or tol <= 0:
+        return eigenvalues_bisect(m, tol=tol, params=p)
+    ranks = np.arange(1, m.n + 1)
+    g_lo, g_hi = m.gershgorin()
+    lo, hi, halvings = _bisect_ranks(counter.count, ranks, g_lo, g_hi, tol)
+    ends, at = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+    counts = sturm_count_batch(m, ends)
+    bad = ~((counts[at[:m.n]] < ranks) & (ranks <= counts[at[m.n:]]))
+    if bad.any():
+        # probes that widen each failed bracket by doubling, then, for each
+        # failed rank, the nearest probes with counts below k and at least k
+        w = (hi - lo)[bad, None] * 2.0 ** np.arange(_REPAIR_PROBES)
+        extra = np.concatenate([(lo[bad, None] - w).ravel(), (hi[bad, None] + w).ravel()])
+        probes = np.concatenate([ends, extra])
+        order = np.argsort(probes)
+        probes = probes[order]
+        counts = np.concatenate([counts, sturm_count_batch(m, extra)])[order]
+        i = np.searchsorted(counts, ranks[bad])
+        j = np.minimum(i, probes.size - 1)
+        below = np.where(i > 0, probes[i - 1], -np.inf)
+        above = np.where(i < probes.size, probes[j], np.inf)
+        below_count, above_count = np.where(i > 0, counts[i - 1], 0), counts[j]
+
+        def sturm(e):
+            c = np.where(e <= below, below_count, above_count)
+            open_ = (below < e) & (e < above)
+            if open_.any():
+                c[open_] = sturm_count_batch(m, e[open_])
+            return c
+
+        lo_b, hi_b, fallback_halvings = _bisect_ranks(sturm, ranks[bad], g_lo, g_hi, tol)
+        if fallback_halvings != halvings:
+            return eigenvalues_bisect(m, tol=tol, params=p)
+        lo[bad], hi[bad] = lo_b, hi_b
+    return Spectrum1D(np.sort(0.5 * (lo + hi)), params=p, tol=tol)
 
 
 def jacobi_dense(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -394,6 +486,8 @@ def cached_spectrum(p: ModelParams, start: int = 0, tol: float | None = None,
                     cache_dir: str | os.PathLike | None = None) -> Spectrum1D:
     """Eigenvalues of the Fibonacci box, cached on disk when a dir is given.
 
+    A miss, or a call with no cache, runs `certified_spectrum`, whose values
+    are those of eigenvalues_bisect bit for bit, and so are the cache files.
     Cache files are sorted float64 arrays keyed by a content hash of
     (lambda, omega, alpha, N, start, tol); the QUASISPEC_CACHE environment
     variable supplies a default directory.  An unreadable cache file counts
@@ -405,12 +499,12 @@ def cached_spectrum(p: ModelParams, start: int = 0, tol: float | None = None,
     if cache_dir is None:
         cache_dir = os.environ.get("QUASISPEC_CACHE")
     if cache_dir is None:
-        return eigenvalues_bisect(m, tol=tol, params=p)
+        return certified_spectrum(p, start, tol)
     path = Path(cache_dir) / f"spectrum1d-{_cache_key(p, start, tol)}.npy"
     eigs = _read_cached(path, p.n_sites)
     if eigs is not None:
         return Spectrum1D(eigs, params=p, tol=tol)
-    spec = eigenvalues_bisect(m, tol=tol, params=p)
+    spec = certified_spectrum(p, start, tol)
     with atomic_write(path) as fh:
         np.save(fh, spec.eigenvalues)
     return spec

@@ -74,11 +74,6 @@ def _indicator(n, alpha, omega):
     return t >= edge
 
 
-def potential_value(n: int, p: ModelParams) -> float:
-    """Potential at site n: lam if frac(n*alpha + omega) in [1-alpha, 1)."""
-    return p.lam if _indicator(n, p.alpha, p.omega) else 0.0
-
-
 def site_letters(start: int, p: ModelParams) -> np.ndarray:
     """Letters on sites start .. start + n_sites - 1: True where the potential is lam."""
     idx = np.arange(start, start + p.n_sites, dtype=float)

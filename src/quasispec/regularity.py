@@ -66,41 +66,6 @@ def middle_cantor_system(ratio: float = 1.0 / 3.0) -> SymbolicSystem:
     return SymbolicSystem(digits=(0.0, 1.0 - ratio))
 
 
-def pi_lambda(word, lam: float, sys: SymbolicSystem) -> tuple[float, float]:
-    """Linear projection sum_k digits[word_k] lam^k and its truncation bound."""
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lam must lie in (0, 1)")
-    w = np.asarray(word, dtype=int)
-    _check_admissible(w, sys)
-    powers = lam ** np.arange(w.size)
-    value = float(np.dot(np.asarray(sys.digits)[w], powers))
-    tail = max(abs(d) for d in sys.digits) * lam ** w.size / (1.0 - lam)
-    return value, tail
-
-
-def _check_admissible(w, sys: SymbolicSystem):
-    if np.any(w < 0) or np.any(w >= sys.ell):
-        raise ValueError("symbol out of range")
-    if w.size > 1 and not np.all(sys.transition[w[:-1], w[1:]] == 1):
-        raise ValueError("word violates the transition matrix")
-
-
-def phi(omega, tau, lam: float, sys: SymbolicSystem) -> float:
-    """Projection difference of two equal-length words."""
-    if len(omega) != len(tau):
-        raise ValueError("words must have equal length")
-    return pi_lambda(omega, lam, sys)[0] - pi_lambda(tau, lam, sys)[0]
-
-
-def common_prefix_len(omega, tau) -> int:
-    k = 0
-    for a, b in zip(omega, tau):
-        if a != b:
-            break
-        k += 1
-    return k
-
-
 def _phi_on_grid(coeffs: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """phi of each coefficient row at each lam: one product against lam^j."""
     return coeffs @ (lams[:, None] ** np.arange(coeffs.shape[-1])).T
@@ -241,14 +206,6 @@ def estimate_cond1(sys: SymbolicSystem, J, depth: int, sample_pairs: int,
     return alpha_hat, c1
 
 
-def verify_cond1(sys: SymbolicSystem, J, depth: int, holdout_pairs: int,
-                 alpha_hat: float, c1: float, k0: int = 2, seed: int = 1) -> int:
-    """Number of holdout pairs violating the fitted bound (0 when it holds)."""
-    ks, vals = _max_phi(sys, J, depth, holdout_pairs, k0, seed)
-    bound = c1 * (1.0 + 1e-12) * float(sys.ell) ** (-alpha_hat * ks)
-    return int(np.sum(vals > bound))
-
-
 def estimate_cond2(sys: SymbolicSystem, J, depth: int, sample_pairs: int,
                    k0: int = 2, seed: int = 0, cd_step: float | None = None
                    ) -> tuple[float, float, float]:
@@ -266,15 +223,6 @@ def estimate_cond2(sys: SymbolicSystem, J, depth: int, sample_pairs: int,
     beta_hat = _slope_with_stderr(-ks * np.log(sys.ell), np.log(vals))[0]
     c2_prime = float(np.min(vals * float(sys.ell) ** (beta_hat * ks)))
     return beta_hat, 2.0 / c2_prime, flagged
-
-
-def verify_cond2(sys: SymbolicSystem, J, depth: int, holdout_pairs: int,
-                 beta_hat: float, c2: float, k0: int = 2, seed: int = 1) -> int:
-    """Holdout violations of the derivative envelope implied by (beta_hat, c2)."""
-    ks, vals, _ = _min_dphi(sys, J, depth, holdout_pairs, k0, seed, None)
-    c2_prime = 2.0 / c2
-    bound = c2_prime * (1.0 - 1e-12) * float(sys.ell) ** (-beta_hat * ks)
-    return int(np.sum(vals < bound))
 
 
 def measure_decay(sys: SymbolicSystem, depth: int = 20) -> tuple[float, float]:

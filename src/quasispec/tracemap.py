@@ -47,12 +47,6 @@ def trace_step(p: Point3) -> Point3:
     return Point3(2.0 * x * y - z, x, y)
 
 
-def trace_step_inverse(p: Point3) -> Point3:
-    """Inverse map (y, z, 2yz - x)."""
-    x, y, z = p
-    return Point3(y, z, 2.0 * y * z - x)
-
-
 def fricke_vogt(p) -> float:
     x, y, z = p
     return x * x + y * y + z * z - 2.0 * x * y * z - 1.0

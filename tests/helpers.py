@@ -1,0 +1,79 @@
+"""Reference functions that only the tests call.
+
+Scalar and inverse forms of what the package computes in bulk: the potential
+at one site, the inverse trace map, the projection of one word and the
+difference of two, and the holdout checks of the fitted transversality
+bounds.
+"""
+
+import numpy as np
+
+from quasispec.dos import AtomicMeasure
+from quasispec.model import ModelParams, _indicator
+from quasispec.regularity import SymbolicSystem, _max_phi, _min_dphi
+from quasispec.tracemap import Point3
+
+
+def potential_value(n: int, p: ModelParams) -> float:
+    """Potential at site n: lam if frac(n*alpha + omega) in [1-alpha, 1)."""
+    return p.lam if _indicator(n, p.alpha, p.omega) else 0.0
+
+
+def trace_step_inverse(p: Point3) -> Point3:
+    """Inverse map (y, z, 2yz - x)."""
+    x, y, z = p
+    return Point3(y, z, 2.0 * y * z - x)
+
+
+def uniform_measure(lo: float, hi: float, n_atoms: int) -> AtomicMeasure:
+    """n_atoms equally weighted atoms, evenly spread over [lo, hi]."""
+    pos = np.linspace(lo, hi, n_atoms)
+    return AtomicMeasure(pos, np.full(n_atoms, 1.0 / n_atoms))
+
+
+def pi_lambda(word, lam: float, sys: SymbolicSystem) -> tuple[float, float]:
+    """Linear projection sum_k digits[word_k] lam^k and its truncation bound."""
+    if not 0.0 < lam < 1.0:
+        raise ValueError("lam must lie in (0, 1)")
+    w = np.asarray(word, dtype=int)
+    if np.any(w < 0) or np.any(w >= sys.ell):
+        raise ValueError("symbol out of range")
+    if w.size > 1 and not np.all(sys.transition[w[:-1], w[1:]] == 1):
+        raise ValueError("word violates the transition matrix")
+    powers = lam ** np.arange(w.size)
+    value = float(np.dot(np.asarray(sys.digits)[w], powers))
+    tail = max(abs(d) for d in sys.digits) * lam ** w.size / (1.0 - lam)
+    return value, tail
+
+
+def phi(omega, tau, lam: float, sys: SymbolicSystem) -> float:
+    """Projection difference of two equal-length words."""
+    if len(omega) != len(tau):
+        raise ValueError("words must have equal length")
+    return pi_lambda(omega, lam, sys)[0] - pi_lambda(tau, lam, sys)[0]
+
+
+def common_prefix_len(omega, tau) -> int:
+    k = 0
+    for a, b in zip(omega, tau):
+        if a != b:
+            break
+        k += 1
+    return k
+
+
+def verify_cond1(sys: SymbolicSystem, J, depth: int, holdout_pairs: int,
+                 alpha_hat: float, c1: float, k0: int = 2, seed: int = 1) -> int:
+    """Number of holdout pairs violating the fitted bound (0 when it holds)."""
+    ks, vals = _max_phi(sys, J, depth, holdout_pairs, k0, seed)
+    bound = c1 * (1.0 + 1e-12) * float(sys.ell) ** (-alpha_hat * ks)
+    return int(np.sum(vals > bound))
+
+
+def verify_cond2(sys: SymbolicSystem, J, depth: int, holdout_pairs: int,
+                 beta_hat: float, c2: float, k0: int = 2, seed: int = 1) -> int:
+    """Holdout violations of the derivative envelope implied by (beta_hat, c2)."""
+    ks, vals, _ = _min_dphi(sys, J, depth, holdout_pairs, k0, seed, None)
+    c2_prime = 2.0 / c2
+    bound = c2_prime * (1.0 - 1e-12) * float(sys.ell) ** (-beta_hat * ks)
+    return int(np.sum(vals < bound))

@@ -15,10 +15,11 @@ from quasispec.dos import (
     local_dimension,
     merge_atoms,
     sup_cdf_distance,
-    uniform_measure,
 )
 from quasispec.eigensolve import eigenvalues_bisect, fibonacci_tridiag, sturm_count
 from quasispec.model import ModelParams
+
+from helpers import uniform_measure
 
 
 def delta(x=0.0):

@@ -5,10 +5,11 @@ from quasispec.model import (
     GOLDEN_CONJUGATE,
     ModelParams,
     ParameterError,
-    potential_value,
     potential_vector,
     substitution_word,
 )
+
+from helpers import potential_value
 
 
 def test_potential_values_at_small_sites():

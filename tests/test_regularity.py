@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from quasispec import calibration
-from quasispec.dos import AtomicMeasure, cantor_lebesgue, uniform_measure
+from quasispec.dos import AtomicMeasure, cantor_lebesgue
 from quasispec.regularity import (
     SymbolicSystem,
-    common_prefix_len,
     correlation_integral,
     criterion_verdict,
     estimate_cond1,
@@ -13,10 +12,15 @@ from quasispec.regularity import (
     measure_decay,
     middle_cantor_system,
     near_far_split,
-    phi,
-    pi_lambda,
     sample_pair,
     transversality_report,
+)
+
+from helpers import (
+    common_prefix_len,
+    phi,
+    pi_lambda,
+    uniform_measure,
     verify_cond1,
     verify_cond2,
 )

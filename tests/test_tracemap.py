@@ -13,8 +13,9 @@ from quasispec.tracemap import (
     refine_bounded_energy,
     spectrum_cover,
     trace_step,
-    trace_step_inverse,
 )
+
+from helpers import trace_step_inverse
 
 
 def test_trace_step_fixed_points_and_example():
