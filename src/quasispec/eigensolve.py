@@ -7,8 +7,8 @@ oracle.  No eigenvectors anywhere: the density of states only needs counts.
 Counts of a Fibonacci box also come from products of the transfer matrices
 of the Fibonacci words (`box_counter`), O(log N) per energy.  A box's whole
 spectrum (`certified_spectrum`, behind `cached_spectrum`) is bisected on
-those counts and certified by one Sturm pass, so it equals the Sturm
-bisection of `eigenvalues_bisect` bit for bit.
+those counts and certified by Sturm counts at the bracket ends, so it
+equals the Sturm bisection of `eigenvalues_bisect` bit for bit.
 """
 
 import hashlib
@@ -334,8 +334,8 @@ def certified_spectrum(p: ModelParams, start: int = 0,
 
     Propose: every rank 1..N is bisected on the box's lifted counts, from the
     Gershgorin interval to tol, by the loop of eigenvalues_bisect.  Certify:
-    one Sturm pass over the distinct bracket ends keeps rank k when
-    sturm(lo_k) < k <= sturm(hi_k).  Repair: one more Sturm pass probes each
+    Sturm counts at the distinct bracket ends, in passes of at most N
+    energies, keep rank k when sturm(lo_k) < k <= sturm(hi_k).  Repair: one more Sturm pass probes each
     failed bracket widened by 1, 2, 4, ..., 128 widths on either side, and
     the failed ranks are bisected on Sturm counts from the Gershgorin
     interval.  There a midpoint at or below a probe whose count is below k,
@@ -381,7 +381,9 @@ def certified_spectrum(p: ModelParams, start: int = 0,
     g_lo, g_hi = m.gershgorin()
     lo, hi, halvings = _bisect_ranks(counter.count, ranks, g_lo, g_hi, tol)
     ends, at = np.unique(np.concatenate([lo, hi]), return_inverse=True)
-    counts = sturm_count_batch(m, ends)
+    # passes of at most N energies keep the memory of a Sturm bisection pass
+    counts = np.concatenate([sturm_count_batch(m, part)
+                             for part in np.array_split(ends, -(-ends.size // m.n))])
     bad = ~((counts[at[:m.n]] < ranks) & (ranks <= counts[at[m.n:]]))
     if bad.any():
         # probes that widen each failed bracket by doubling, then, for each

@@ -1,4 +1,4 @@
-"""Box spectra bisected on lifted counts and certified by one Sturm pass.
+"""Box spectra bisected on lifted counts and certified by Sturm counts.
 
 `certified_spectrum` must return `eigenvalues_bisect`'s eigenvalues bit for
 bit: on every box, when the lifted counts are wrong at some midpoints (the
