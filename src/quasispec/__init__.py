@@ -28,7 +28,6 @@ from .eigensolve import (
     TridiagMatrix,
     box_counter,
     cached_spectrum,
-    certified_spectrum,
     eigenvalues_bisect,
     fibonacci_tridiag,
     jacobi_dense,
