@@ -53,8 +53,7 @@ def cmd_spectrum1d(args, out: Path):
         raise ParameterError("box size capped at 1e5")
     t0 = time.time()
     spec = _spectrum(args)
-    f = io.write_csv(out / "spectrum1d.csv", ["eigenvalue"],
-                     ((e,) for e in spec.eigenvalues))
+    f = io.write_csv(out / "spectrum1d.csv", ["eigenvalue"], spec.eigenvalues[:, None])
     io.write_manifest(out / "spectrum1d.manifest.json", "spectrum1d",
                       _param_map(args), [f], time.time() - t0, seed=args.seed,
                       extra={"start_index": args.start})
@@ -142,7 +141,7 @@ def cmd_dos2d(args, out: Path):
     for h, _ in trend:
         d = dos.kde_density(conv, h)
         files.append(io.write_csv(out / f"dos2d_kde_h{h:g}.csv",
-                                  ["energy", "density"], zip(d.grid, d.values)))
+                                  ["energy", "density"], np.column_stack([d.grid, d.values])))
     ratio = trend[-1][1] / trend[0][1]
     radii = [2.0 ** -j for j in range(4, 10)]
     slope, err = dos.local_dimension(conv, radii, samples=args.samples, seed=args.seed)

@@ -23,12 +23,22 @@ FAST_DEMOS = {
 }
 
 
-@pytest.mark.parametrize("demo", sorted(FAST_DEMOS))
-def test_demo_runs(demo):
+def _run(demo) -> list[str]:
     env = {k: v for k, v in os.environ.items() if k != "QUASISPEC_CACHE"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     r = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env, cwd=ROOT,
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
-    assert FAST_DEMOS[demo] in r.stdout.splitlines()
+    return r.stdout.splitlines()
+
+
+@pytest.mark.parametrize("demo", sorted(FAST_DEMOS))
+def test_demo_runs(demo):
+    assert FAST_DEMOS[demo] in _run(demo)
+
+
+def test_trace_map_demo_conserves_the_invariant():
+    prefix = "invariant drift over 1000 short orbits: "
+    line, = [s for s in _run("02_trace_map_dynamics.py") if s.startswith(prefix)]
+    assert float(line[len(prefix):].split()[0]) < 1e-12
