@@ -105,16 +105,17 @@ def _tables():
         c = m * _SPLIT
         m_hi = c - (c - m)
         rows.append((hi, lo, math.ldexp(m_hi, e), math.ldexp(m - m_hi, e)))
-    q = np.arange(10_000)
-    digits = np.column_stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10])
-    last = np.where(q > 0, 4 - (digits[:, ::-1] != 0).argmax(axis=1), 0)
+    # small dtypes throughout: the temporaries would stay in the heap
+    q = np.arange(10_000, dtype=np.int16)
+    digits = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1).astype(np.uint8)
+    last = (4 - (digits[:, ::-1] != 0).argmax(axis=1)).astype(np.uint8) * (q > 0)
     ex = np.arange(-_MAX_EXP, _MAX_EXP + 1)
     exp_chars = np.column_stack([np.full(ex.size, ord("e")), np.where(ex < 0, ord("-"), ord("+")),
                                  abs(ex) // 100 + 48, abs(ex) // 10 % 10 + 48, abs(ex) % 10 + 48])
     form = np.where((ex >= -4) & (ex < 17), ex + 4, np.where(abs(ex) < 100, 21, 22))
     return (np.array(rows).T.copy(),
-            np.ascontiguousarray(digits + ord("0"), np.uint8).view(np.uint32).ravel(),
-            np.concatenate([np.where(q > 0, last + 4 * k, 0) for k in range(4)]).astype(np.uint8),
+            (digits + ord("0")).view(np.uint32).ravel(),
+            ((last + np.arange(0, 16, 4, dtype=np.uint8)[:, None]) * (q > 0)).ravel(),
             exp_chars.astype(np.uint8), form * 34, _layouts())
 
 

@@ -182,6 +182,23 @@ def test_corrupt_cache_file_is_replaced(tmp_path):
     assert np.load(path).shape == (40,)
 
 
+def test_non_finite_output_is_numeric_failure(tmp_path, capsys, monkeypatch):
+    from quasispec import dos
+
+    real = dos.ids_from_counts
+
+    def with_nan(counter, energies):
+        rows = real(counter, energies)
+        rows[3, 1] = np.nan
+        return rows
+
+    monkeypatch.setattr(dos, "ids_from_counts", with_nan)
+    code, out = run(tmp_path, "ids", "--lambda", "1", "--n", "50", "--grid-points", "16")
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_tracemap_empty_cover_is_numeric_failure(tmp_path, capsys):
     code, out = run(tmp_path, "tracemap", "--lambda", "3")
     assert code == 3

@@ -52,8 +52,11 @@ def _cases():
         "rounding up to a power of ten": (["v"], lambda: [(v,) for v in ROUND_UP_TO_POWER]),
         # exact ties at the 17th digit: round-half-even gives ...624.2 and ...624.8
         "exact ties": (["v", "w"], lambda: [(1125899906842624.25, 1125899906842624.75)]),
-        "int and float32": (["i", "f"], lambda: [(7, np.float32(1.1)), (-12345678901234567, np.float32(-3e-7))]),
-        "rows of a 2-D array, one at a time": (["x", "y"], lambda: (r for r in np.column_stack([a, b]))),
+        "int and float32": (["i", "f"], lambda: [(7, np.float32(1.1)),
+                                                 (-12345678901234567, np.float32(-3e-7))]),
+        # the benchmark tracer hands write_csv its rows one at a time
+        "rows of a 2-D array, one at a time": (["x", "y"],
+                                               lambda: (r for r in np.column_stack([a, b]))),
     }
 
 
