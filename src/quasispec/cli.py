@@ -162,7 +162,9 @@ def cmd_sumset2d(args, out: Path):
     lam2 = args.lam2 if args.lam2 is not None else args.lam
     check_coupling(lam2)
     c1 = tracemap.spectrum_cover(args.lam, depth=args.depth, max_iter=args.max_iter)
-    c2 = tracemap.spectrum_cover(lam2, depth=args.depth, max_iter=args.max_iter)
+    c2 = c1  # one coupling, one cover
+    if lam2 != args.lam:
+        c2 = tracemap.spectrum_cover(lam2, depth=args.depth, max_iter=args.max_iter)
     if c1.empty or c2.empty:
         raise SystemExit("empty cover: increase depth or reduce max_iter")
     s = sumset(c1, c2)

@@ -94,30 +94,122 @@ def lebesgue_length(s: IntervalSet) -> float:
 def sumset(x: IntervalSet, y: IntervalSet) -> IntervalSet:
     """Minkowski sum of two interval sets, merged disjoint.
 
-    The pairs are formed in blocks of at most _SUMSET_BLOCK = 2^16: rows
-    x_i + Y, or pieces of one.  A row is sorted because y is, so pair j ends
-    a row component when the next start exceeds its end.  Each block's row
-    components are merged, then all blocks' results: memory is
-    O(_SUMSET_BLOCK + components), not O(len(x)*len(y)).  Each endpoint is
-    the same float sum as in an all-pairs merge, and a union of closed
-    intervals has one merged form, so the result is exactly that merge.
+    Two passes over the pair intervals [x.a_i + y.a_j, x.b_i + y.b_j], with
+    rows i from the shorter set (float addition commutes, so the orientation
+    changes no bit).  Pass 1 merges the widest _SUMSET_BLOCK // len(y) rows
+    with every column, and the other rows with the widest columns, into U1.
+
+    A pair changes U1 only if it holds a point of an open gap of U1: a point
+    inside a piece [p, q] = (-inf, a_0], [b_k, a_k+1] or [b_last, inf) of
+    its complement.  Its float ends then satisfy A < q and B > p.  Rounding
+    is monotone, so A = fl(x.a_i + y.a_j) < q means the exact sum is below
+    q, y.a_j < q - x.a_i, and y.a_j <= fl(q - x.a_i); likewise
+    y.b_j >= fl(p - x.b_i).  The starts and ends of a row rise with j, so
+    pass 2 finds such pairs as one j-range per row and piece, by two
+    `searchsorted` calls on unwidened keys, and merges them with U1.  The
+    union is then the union of all pairs, each endpoint is the same float
+    sum, and a union of closed intervals has one merged form: the result is
+    exactly the all-pairs merge.
+
+    Two searches per piece cost about what a pair does, so pass 2 searches
+    only while the pieces number fewer than half a row, and otherwise forms
+    the other rows whole.  Pairs and search arrays go in blocks of at most
+    _SUMSET_BLOCK = 2^16, so memory is O(_SUMSET_BLOCK + components).
     """
     if x.empty or y.empty:
         raise ValueError("sumset of an empty interval set")
-    rows = max(1, _SUMSET_BLOCK // len(y))
-    cols = min(len(y), _SUMSET_BLOCK)
-    parts_a, parts_b = [], []
-    for i in range(0, len(x), rows):
-        for j in range(0, len(y), cols):
-            a = x.a[i:i + rows, None] + y.a[j:j + cols]
-            b = x.b[i:i + rows, None] + y.b[j:j + cols]
-            end = np.ones(a.shape, dtype=bool)
-            end[:, :-1] = a[:, 1:] > b[:, :-1]
-            start = np.roll(end, 1, axis=1)
-            ca, cb = _merge(a[start], b[end])
-            parts_a.append(ca)
-            parts_b.append(cb)
-    return IntervalSet(*_merge(np.concatenate(parts_a), np.concatenate(parts_b)))
+    if len(x) > len(y):
+        x, y = y, x
+    m = len(y)
+    wide = np.argsort(x.a - x.b, kind="stable")  # widest first
+    u = _pair_components(x, y, wide[:_SUMSET_BLOCK // m])
+    rest = np.sort(wide[_SUMSET_BLOCK // m:])
+    if rest.size == 0:
+        return IntervalSet(*u)
+    cols = np.argsort(y.a - y.b, kind="stable")[:_SUMSET_BLOCK // rest.size]
+    # search while the K + 1 pieces cost less than a row, and only when U1
+    # has a component and pass 1 leaves some pair of the rest unformed
+    search = cols.size < m and 0 < u[0].size < m / 2 - 1
+    if search:
+        u = _union(u, _pair_components(y, IntervalSet(x.a[rest], x.b[rest]), cols))
+        search = u[0].size < m / 2 - 1
+    parts = _reach(x, y, rest, u) if search else [_pair_components(x, y, rest)]
+    return IntervalSet(*_union(u, *parts))
+
+
+def _reach(x, y, rows, u):
+    """Merged pairs of the given rows that can hold a point of a gap of u.
+
+    Row i takes, for each piece [p, q] of the complement of u, the columns
+    with y.b_j >= fl(p - x.b_i) and y.a_j <= fl(q - x.a_i) (see sumset).
+    The keys go piece by piece with the rows descending, so each piece's
+    keys rise; a search holds at most _SUMSET_BLOCK rows x pieces.
+    """
+    p = np.concatenate(([-np.inf], u[1]))
+    q = np.concatenate((u[0], [np.inf]))
+    down = rows[::-1]
+    step = min(p.size, _SUMSET_BLOCK)
+    per = max(1, _SUMSET_BLOCK // step)
+    parts = []
+    for k in range(0, p.size, step):
+        for r in range(0, down.size, per):
+            i = down[r:r + per]
+            lo = np.searchsorted(y.b, p[k:k + step, None] - x.b[i], "left")
+            hi = np.searchsorted(y.a, q[k:k + step, None] - x.a[i], "right")
+            lo[1:] = np.maximum(lo[1:], hi[:-1])  # a pair meeting two pieces is formed once
+            keep = hi > lo
+            parts.append(_pair_components(x, y, np.broadcast_to(i, keep.shape)[keep],
+                                          lo[keep], hi[keep]))
+    return parts
+
+
+def _union(*parts):
+    """Merged union of interval lists given as endpoint arrays (a, b)."""
+    return _merge(*(np.concatenate(e) for e in zip(*parts)))
+
+
+def _pair_components(x: IntervalSet, y: IntervalSet, rows, lo=None, hi=None):
+    """Merged union of the pair intervals x_i + y_j, i = rows[s], as arrays (a, b).
+
+    Row segment s takes the columns lo[s] <= j < hi[s], or every column when
+    lo is None.  Pairs are formed in blocks of at most _SUMSET_BLOCK.  A
+    segment's pairs are sorted because y is, so pair k ends a run when the
+    next start exceeds its end or the segment ends; each block's runs are
+    merged, then all blocks' results.
+    """
+    parts = [(np.empty(0), np.empty(0))]
+    for a, b, end in _pair_blocks(x, y, rows, lo, hi):
+        end[:-1] |= a[1:] > b[:-1]
+        parts.append(_merge(a[np.roll(end, 1)], b[end]))
+    return _union(*parts)
+
+
+def _pair_blocks(x, y, rows, lo, hi):
+    """Blocks (a, b, segment-end mask) of at most _SUMSET_BLOCK pairs, flattened."""
+    if lo is None:
+        # whole rows: broadcast x_i + Y, or pieces of one
+        per, cols = max(1, _SUMSET_BLOCK // len(y)), min(len(y), _SUMSET_BLOCK)
+        for i in range(0, rows.size, per):
+            for j in range(0, len(y), cols):
+                a = x.a[rows[i:i + per], None] + y.a[j:j + cols]
+                b = x.b[rows[i:i + per], None] + y.b[j:j + cols]
+                end = np.zeros(a.shape, dtype=bool)
+                end[:, -1] = True
+                yield a.ravel(), b.ravel(), end.ravel()
+        return
+    # column ranges: pair t of the flattened segments is row s, column lo_s + t - first_s
+    stop = np.cumsum(hi - lo)
+    first = stop - (hi - lo)
+    for t0 in range(0, int(stop[-1]) if stop.size else 0, _SUMSET_BLOCK):
+        t1 = min(t0 + _SUMSET_BLOCK, int(stop[-1]))
+        s = slice(np.searchsorted(stop, t0, "right"), np.searchsorted(first, t1, "left"))
+        n = np.minimum(stop[s], t1) - np.maximum(first[s], t0)
+        j = np.arange(t0, t1) + np.repeat(lo[s] - first[s], n)
+        a = np.repeat(x.a[rows[s]], n) + y.a[j]
+        b = np.repeat(x.b[rows[s]], n) + y.b[j]
+        end = np.zeros(t1 - t0, dtype=bool)
+        end[np.minimum(stop[s], t1) - t0 - 1] = True
+        yield a, b, end
 
 
 def gap_report(s: IntervalSet) -> list[tuple[float, float, float]]:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .intervals import IntervalSet, interval_set
+from .intervals import IntervalSet, _merge
 from .model import ParameterError, check_coupling
 
 # 2^20 cells keep a cover's probe arrays near 100 MB; depth 40 would ask for 8 TiB
@@ -158,7 +158,7 @@ def spectrum_cover(lam: float, window=None, depth: int = 12,
     bounded_edge = escape_steps(edges, lam, max_iter, threshold) > max_iter
     bounded_mid = escape_steps(mids, lam, max_iter, threshold) > max_iter
     keep = bounded_mid | bounded_edge[:-1] | bounded_edge[1:]
-    return interval_set(zip(edges[:-1][keep].tolist(), edges[1:][keep].tolist()))
+    return IntervalSet(*_merge(edges[:-1][keep], edges[1:][keep]))
 
 
 def trace_jacobian(p) -> np.ndarray:

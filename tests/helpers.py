@@ -2,13 +2,14 @@
 
 Scalar and inverse forms of what the package computes in bulk: the potential
 at one site, the inverse trace map, the projection of one word and the
-difference of two, and the holdout checks of the fitted transversality
-bounds.
+difference of two, the holdout checks of the fitted transversality bounds,
+and the blocked all-pairs sumset.
 """
 
 import numpy as np
 
 from quasispec.dos import AtomicMeasure
+from quasispec.intervals import IntervalSet, _merge
 from quasispec.model import ModelParams, _indicator
 from quasispec.regularity import SymbolicSystem, _max_phi, _min_dphi
 from quasispec.tracemap import Point3
@@ -77,3 +78,26 @@ def verify_cond2(sys: SymbolicSystem, J, depth: int, holdout_pairs: int,
     c2_prime = 2.0 / c2
     bound = c2_prime * (1.0 - 1e-12) * float(sys.ell) ** (-beta_hat * ks)
     return int(np.sum(vals < bound))
+
+
+def allpairs_sumset(x: IntervalSet, y: IntervalSet, block: int = 2**16) -> IntervalSet:
+    """Minkowski sum from every pair interval, formed in blocks of `block` pairs.
+
+    The blocks are rows x_i + Y, or pieces of one.  A row is sorted because y
+    is, so pair j ends a row component when the next start exceeds its end.
+    Each block's row components are merged, then all blocks' results.
+    """
+    rows = max(1, block // len(y))
+    cols = min(len(y), block)
+    parts_a, parts_b = [], []
+    for i in range(0, len(x), rows):
+        for j in range(0, len(y), cols):
+            a = x.a[i:i + rows, None] + y.a[j:j + cols]
+            b = x.b[i:i + rows, None] + y.b[j:j + cols]
+            end = np.ones(a.shape, dtype=bool)
+            end[:, :-1] = a[:, 1:] > b[:, :-1]
+            start = np.roll(end, 1, axis=1)
+            ca, cb = _merge(a[start], b[end])
+            parts_a.append(ca)
+            parts_b.append(cb)
+    return IntervalSet(*_merge(np.concatenate(parts_a), np.concatenate(parts_b)))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import quasispec.intervals
+from helpers import allpairs_sumset
 from quasispec.intervals import (
     IntervalSet,
     _grid_cell_count,
@@ -327,3 +329,132 @@ def test_sumset_properties_hypothesis():
             assert sumset(interval_set(sub), y).is_subset_of(s)
 
     prop()
+
+
+# ---- the two-pass sumset against the blocked all-pairs merge it replaced
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Record (rows, pieces) of every pass-2 search that sumset makes."""
+    calls = []
+    reach = quasispec.intervals._reach
+
+    def counted(x, y, rows, u):
+        calls.append((rows.size, u[0].size + 1))
+        return reach(x, y, rows, u)
+
+    monkeypatch.setattr(quasispec.intervals, "_reach", counted)
+    return calls
+
+
+def assert_bytes_equal(s, t):
+    assert s.a.tobytes() == t.a.tobytes() and s.b.tobytes() == t.b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def depth15_covers():
+    from quasispec.tracemap import spectrum_cover
+    return {lam: spectrum_cover(lam, depth=15) for lam in COVER_LAMBDAS}
+
+
+def test_sumset_equals_allpairs_on_depth15_cover_pairs(depth15_covers, searches):
+    for i, l1 in enumerate(COVER_LAMBDAS):
+        for l2 in COVER_LAMBDAS[i + 1:]:
+            x, y = depth15_covers[l1], depth15_covers[l2]
+            want = allpairs_sumset(x, y)
+            assert_bytes_equal(sumset(x, y), want)
+            assert_bytes_equal(sumset(y, x), want)
+    # about 2,000 intervals a side: every pair searched a few pieces
+    assert len(searches) == 20 and all(k < 20 for _, k in searches)
+
+
+@pytest.mark.parametrize("block", [2**16, 2**10])
+@pytest.mark.parametrize("max_iter", [None, 30])
+def test_sumset_equals_allpairs_on_gap_rich_self_sums(monkeypatch, searches, block, max_iter):
+    from quasispec.tracemap import spectrum_cover
+    c = spectrum_cover(1.0, depth=15, max_iter=max_iter)
+    want = allpairs_sumset(c, c)
+    monkeypatch.setattr("quasispec.intervals._SUMSET_BLOCK", block)
+    assert_bytes_equal(sumset(c, c), want)
+    if max_iter is None:
+        # 196 intervals whose sumset has 2,330 components: pass 1 is all
+        # pairs, or leaves more pieces than half a row and forms whole rows
+        assert len(want) == 2330 and searches == []
+    else:
+        # 678 intervals and 64 components: pass 2 searches 157 or 257 pieces
+        assert len(want) == 64 and len(searches) == 1 and searches[0][1] > 100
+
+
+def test_reach_forms_every_pair_that_can_change_the_union():
+    # pass 2 on its own, against unions u with edges at or one ulp from the
+    # pair ends.  Operands of mixed magnitude make q - x.a round onto y.a
+    # while x.a + y.a < q, which is where the sides of the searches matter
+    from quasispec.intervals import _reach, _union
+    rng = np.random.default_rng(31)
+
+    def draw():
+        a = rng.uniform(-3, 3, rng.integers(1, 12)) * 2.0 ** rng.integers(-2, 3)
+        return interval_set(zip(a, a + rng.choice([0.0, 1e-3, 0.05, 0.3], a.size)))
+
+    for _ in range(500):
+        x, y = draw(), draw()
+        a, b = np.add.outer(x.a, y.a).ravel(), np.add.outer(x.b, y.b).ravel()
+        edges = np.concatenate([a, b, np.nextafter(a, np.inf), np.nextafter(b, -np.inf)])
+        v = np.unique(rng.choice(edges, 2 * rng.integers(1, 6)))
+        if v.size < 2:
+            continue
+        u = (v[0:-1:2], v[1::2])
+        got = IntervalSet(*_union(*_reach(x, y, np.arange(len(x)), u)))
+        # a pair inside one component of u cannot change the union; every
+        # other pair must lie in what pass 2 formed
+        k = np.maximum(np.searchsorted(u[0], a, "right") - 1, 0)
+        need = (a < u[0][k]) | (b > u[1][k])
+        assert interval_set(zip(a[need], b[need])).is_subset_of(got)
+
+
+def test_sumset_equals_allpairs_at_strong_coupling():
+    from quasispec.calibration import SUMSET_LARGE
+    from quasispec.tracemap import spectrum_cover
+    c = spectrum_cover(SUMSET_LARGE["lam"], depth=SUMSET_LARGE["depth"],
+                       max_iter=SUMSET_LARGE["max_iter"])
+    assert_bytes_equal(sumset(c, c), allpairs_sumset(c, c))
+
+
+def test_sumset_two_passes_match_sweep_hypothesis(monkeypatch, searches):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def up(v):
+        return float(np.nextafter(v, np.inf))
+
+    def steps(top):
+        # eighths, where sums are exact and touch; tenths, where they round;
+        # or one ulp (None)
+        return st.one_of(st.integers(1, top).map(lambda k: k / 8),
+                         st.integers(1, top).map(lambda k: k / 10), st.just(None))
+
+    def build(first, items):
+        # intervals laid end to end; a width of 0 gives a point
+        ivs, b = [], first
+        for gap, width in items:
+            a = up(b) if gap is None else b + gap
+            b = up(a) if width is None else a + width
+            ivs.append((a, b))
+        return interval_set(ivs)
+
+    items = st.lists(st.tuples(steps(4), steps(12) | st.just(0.0)), min_size=1, max_size=24)
+    sets = st.builds(build, st.integers(-20, 20).map(lambda k: k / 4), items)
+
+    # blocks of a share of all pairs, so that pass 1 takes some rows and
+    # columns and leaves rows to pass 2; the smallest give several blocks
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(x=sets, y=sets, share=st.sampled_from([2, 3, 5, 40]))
+    def prop(x, y, share):
+        monkeypatch.setattr("quasispec.intervals._SUMSET_BLOCK",
+                            max(1, len(x) * len(y) // share))
+        s = sumset(x, y)
+        assert_same(s, sweep_sumset(x, y))
+        assert_bytes_equal(sumset(y, x), s)
+
+    prop()
+    assert len(searches) >= 15  # pass 2 searched in a good share of the examples
