@@ -112,9 +112,12 @@ def sumset(x: IntervalSet, y: IntervalSet) -> IntervalSet:
     exactly the all-pairs merge.
 
     Two searches per piece cost about what a pair does, so pass 2 searches
-    only while the pieces number fewer than half a row, and otherwise forms
-    the other rows whole.  Pairs and search arrays go in blocks of at most
-    _SUMSET_BLOCK = 2^16, so memory is O(_SUMSET_BLOCK + components).
+    only while the pieces number fewer than half a row, checked after the
+    widest rows and again after the widest columns.  Otherwise, and when
+    the widest columns would be every column, the other rows are formed
+    whole, as in an all-pairs loop.  Pairs and search arrays go in blocks
+    of at most _SUMSET_BLOCK = 2^16, so memory is O(_SUMSET_BLOCK +
+    components).
     """
     if x.empty or y.empty:
         raise ValueError("sumset of an empty interval set")
@@ -127,12 +130,11 @@ def sumset(x: IntervalSet, y: IntervalSet) -> IntervalSet:
     if rest.size == 0:
         return IntervalSet(*u)
     cols = np.argsort(y.a - y.b, kind="stable")[:_SUMSET_BLOCK // rest.size]
-    # search while the K + 1 pieces cost less than a row, and only when U1
-    # has a component and pass 1 leaves some pair of the rest unformed
-    search = cols.size < m and 0 < u[0].size < m / 2 - 1
+    # with no component in U1, every pair can meet the one piece
+    search = cols.size < m and u[0].size > 0 and 2 * (u[0].size + 1) < m
     if search:
         u = _union(u, _pair_components(y, IntervalSet(x.a[rest], x.b[rest]), cols))
-        search = u[0].size < m / 2 - 1
+        search = 2 * (u[0].size + 1) < m
     parts = _reach(x, y, rest, u) if search else [_pair_components(x, y, rest)]
     return IntervalSet(*_union(u, *parts))
 
@@ -200,8 +202,9 @@ def _pair_blocks(x, y, rows, lo, hi):
     # column ranges: pair t of the flattened segments is row s, column lo_s + t - first_s
     stop = np.cumsum(hi - lo)
     first = stop - (hi - lo)
-    for t0 in range(0, int(stop[-1]) if stop.size else 0, _SUMSET_BLOCK):
-        t1 = min(t0 + _SUMSET_BLOCK, int(stop[-1]))
+    total = int(stop[-1]) if stop.size else 0
+    for t0 in range(0, total, _SUMSET_BLOCK):
+        t1 = min(t0 + _SUMSET_BLOCK, total)
         s = slice(np.searchsorted(stop, t0, "right"), np.searchsorted(first, t1, "left"))
         n = np.minimum(stop[s], t1) - np.maximum(first[s], t0)
         j = np.arange(t0, t1) + np.repeat(lo[s] - first[s], n)

@@ -347,10 +347,6 @@ def searches(monkeypatch):
     return calls
 
 
-def assert_bytes_equal(s, t):
-    assert s.a.tobytes() == t.a.tobytes() and s.b.tobytes() == t.b.tobytes()
-
-
 @pytest.fixture(scope="module")
 def depth15_covers():
     from quasispec.tracemap import spectrum_cover
@@ -361,10 +357,11 @@ def test_sumset_equals_allpairs_on_depth15_cover_pairs(depth15_covers, searches)
     for i, l1 in enumerate(COVER_LAMBDAS):
         for l2 in COVER_LAMBDAS[i + 1:]:
             x, y = depth15_covers[l1], depth15_covers[l2]
-            want = allpairs_sumset(x, y)
-            assert_bytes_equal(sumset(x, y), want)
-            assert_bytes_equal(sumset(y, x), want)
-    # about 2,000 intervals a side: every pair searched a few pieces
+            ref = allpairs_sumset(x, y)
+            want = ref.a, ref.b
+            assert_same(sumset(x, y), want)
+            assert_same(sumset(y, x), want)
+    # about 2,000 intervals a side; each of the 20 calls searched a few pieces
     assert len(searches) == 20 and all(k < 20 for _, k in searches)
 
 
@@ -375,7 +372,7 @@ def test_sumset_equals_allpairs_on_gap_rich_self_sums(monkeypatch, searches, blo
     c = spectrum_cover(1.0, depth=15, max_iter=max_iter)
     want = allpairs_sumset(c, c)
     monkeypatch.setattr("quasispec.intervals._SUMSET_BLOCK", block)
-    assert_bytes_equal(sumset(c, c), want)
+    assert_same(sumset(c, c), (want.a, want.b))
     if max_iter is None:
         # 196 intervals whose sumset has 2,330 components: pass 1 is all
         # pairs, or leaves more pieces than half a row and forms whole rows
@@ -417,7 +414,8 @@ def test_sumset_equals_allpairs_at_strong_coupling():
     from quasispec.tracemap import spectrum_cover
     c = spectrum_cover(SUMSET_LARGE["lam"], depth=SUMSET_LARGE["depth"],
                        max_iter=SUMSET_LARGE["max_iter"])
-    assert_bytes_equal(sumset(c, c), allpairs_sumset(c, c))
+    want = allpairs_sumset(c, c)
+    assert_same(sumset(c, c), (want.a, want.b))
 
 
 def test_sumset_two_passes_match_sweep_hypothesis(monkeypatch, searches):
@@ -454,7 +452,7 @@ def test_sumset_two_passes_match_sweep_hypothesis(monkeypatch, searches):
                             max(1, len(x) * len(y) // share))
         s = sumset(x, y)
         assert_same(s, sweep_sumset(x, y))
-        assert_bytes_equal(sumset(y, x), s)
+        assert_same(sumset(y, x), (s.a, s.b))
 
     prop()
     assert len(searches) >= 15  # pass 2 searched in a good share of the examples
