@@ -7,6 +7,7 @@ on cache hits where caching applies.  Exit codes: 0 success, 2 usage,
 """
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -287,6 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _apply_config(argv, parser):
     """Config file values become defaults; explicit flags override them."""
     if "--config" not in argv:
@@ -303,7 +310,7 @@ def _apply_config(argv, parser):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     try:
         if argv:
             argv = [argv[0]] + _apply_config(argv[1:], parser)

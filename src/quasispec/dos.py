@@ -75,25 +75,35 @@ class AtomicMeasure:
 def _merge_arrays(positions, weights, merge_tol):
     """Sort atoms and coalesce clusters closer than merge_tol.
 
-    Merged positions are the weight-averaged cluster positions, so total mass
-    and first moment are preserved exactly up to roundoff.  Works on raw
-    arrays (no normalization requirement).
+    Each cluster sits at its weighted mean sum(p*w)/sum(w), clipped to the
+    cluster's hull [first, last]: rounding can carry the mean an ulp past
+    the hull, onto the next cluster, and the clip also keeps a lone atom at
+    its own position.  Total mass is preserved up to roundoff, and so is the
+    first moment, apart from those clipped ulps.  Works on raw arrays (no
+    normalization requirement).
+
+    When every weight is the same double the positions are sorted alone,
+    with no permutation to carry the weights; the result is the stable
+    argsort route's bit for bit.  Equal floats differ at most as +-0.0,
+    which give the same sums in either order, and the clip only replaces a
+    mean strictly outside the hull, so the sign of a zero end never shows.
     """
     if merge_tol < 0:
         raise ValueError("merge tolerance must be >= 0")
     pos = np.asarray(positions, dtype=float).ravel()
     w = np.asarray(weights, dtype=float).ravel()
-    order = np.argsort(pos, kind="stable")
-    pos = pos[order]
-    w = w[order]
-    split = np.where(np.diff(pos) > merge_tol)[0] + 1
-    groups = np.concatenate(([0], split, [pos.size]))
-    gw = np.add.reduceat(w, groups[:-1])
-    gp = np.add.reduceat(pos * w, groups[:-1]) / gw
-    # singleton clusters keep their exact position; (p*w)/w can lose an ulp
-    single = np.diff(groups) == 1
-    gp[single] = pos[groups[:-1][single]]
-    return gp, gw
+    if w.size and (w == w[0]).all():
+        pos = np.sort(pos)
+    else:
+        order = np.argsort(pos, kind="stable")
+        pos = pos[order]
+        w = w[order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(pos) > merge_tol) + 1))
+    gw = np.add.reduceat(w, starts)
+    gp = np.add.reduceat(pos * w, starts) / gw
+    first = pos[starts]
+    last = pos[np.append(starts[1:], pos.size) - 1]
+    return np.where(gp < first, first, np.where(gp > last, last, gp)), gw
 
 
 def merge_atoms(positions, weights, merge_tol) -> AtomicMeasure:
@@ -126,7 +136,9 @@ def convolve(a: AtomicMeasure, b: AtomicMeasure, pair_cap: int = PAIR_CAP,
 
     Large products are generated in row blocks that are merged as they go,
     which bounds transient memory; block-wise merging composes weighted
-    means, so the result matches the single-pass construction.
+    means, so the result matches the single-pass construction.  When each
+    factor has a single weight value, every pair weighs the same: no outer
+    product is formed, and the merge sorts the sums alone.
     """
     npairs = len(a) * len(b)
     if npairs > pair_cap:
@@ -135,17 +147,22 @@ def convolve(a: AtomicMeasure, b: AtomicMeasure, pair_cap: int = PAIR_CAP,
     tol = max(a.merge_tol, b.merge_tol, 1e-12 * span)
     if npairs <= block_pairs:
         pos = np.add.outer(a.positions, b.positions).ravel()
-        w = np.multiply.outer(a.weights, b.weights).ravel()
-        return merge_atoms(pos, w, tol)
+        return merge_atoms(pos, _pair_weights(a.weights, b.weights), tol)
     rows = max(1, block_pairs // len(b))
     parts = []
     for i in range(0, len(a), rows):
         pos = np.add.outer(a.positions[i:i + rows], b.positions).ravel()
-        w = np.multiply.outer(a.weights[i:i + rows], b.weights).ravel()
-        parts.append(_merge_arrays(pos, w, tol))
+        parts.append(_merge_arrays(pos, _pair_weights(a.weights[i:i + rows], b.weights), tol))
     pos = np.concatenate([p for p, _ in parts])
     w = np.concatenate([x for _, x in parts])
     return merge_atoms(pos, w, tol)
+
+
+def _pair_weights(wa, wb):
+    """Flat product weights of all pairs, as np.multiply.outer gives them."""
+    if wa.min() == wa.max() and wb.min() == wb.max():
+        return np.full(wa.size * wb.size, wa[0] * wb[0])
+    return np.multiply.outer(wa, wb).ravel()
 
 
 def sup_cdf_distance(a: AtomicMeasure, b: AtomicMeasure) -> float:

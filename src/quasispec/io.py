@@ -47,7 +47,11 @@ ARTIFACT_VERSION = "quasispec-0.1.0"
 
 
 def fmt(x) -> str:
-    return format(float(x), ".17g")
+    """x as '%.17g' writes it; a NaN or infinite value raises ValueError."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {x}")
+    return format(x, ".17g")
 
 
 CSV_BLOCK_ROWS = 1024
@@ -241,7 +245,8 @@ def write_manifest(path, command: str, params: dict, outputs, duration: float,
     }
     if extra:
         manifest.update(extra)
-    return write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
+    return write_text(path, text + "\n")
 
 
 def write_text(path, text: str):

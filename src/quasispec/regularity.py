@@ -170,26 +170,46 @@ def _lambda_grid(J, n: int = 33) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _max_phi(sys, J, depth, pairs, k0, seed):
-    """Prefix lengths and max_J |phi| of a stratified sample."""
-    lams = _lambda_grid(J)
-    ks, coeffs = _stratified_draw(sys, depth, pairs, k0, seed)
-    return ks, np.abs(_phi_on_grid(coeffs, lams)).max(axis=1)
+def _max_phi(coeffs, lams):
+    """max over the lambda grid of |phi| per coefficient row."""
+    return np.abs(_phi_on_grid(coeffs, lams)).max(axis=1)
 
 
-def _min_dphi(sys, J, depth, pairs, k0, seed, cd_step):
-    """Prefix lengths and min_J |phi'| of the pairs whose derivative is
-    resolved at the central-difference step, and the flagged fraction."""
-    lams = _lambda_grid(J)
+def _cd_step(J, cd_step):
+    """The central-difference step of _min_dphi: a default from J, or checked."""
     if cd_step is None:
         cd_step = max(1e-6, 1e-3 * (float(J[1]) - float(J[0])))
     if cd_step > 1e-4:
         raise ValueError("central-difference step must resolve phi': need <= 1e-4")
-    ks, coeffs = _stratified_draw(sys, depth, pairs, k0, seed)
+    return cd_step
+
+
+def _min_dphi(ks, coeffs, lams, cd_step):
+    """Prefix lengths and min over the lambda grid of |phi'| of the rows whose
+    derivative is resolved at the central-difference step, and the flagged
+    fraction."""
     d = np.abs(_phi_on_grid(coeffs, lams + cd_step)
                - _phi_on_grid(coeffs, lams - cd_step)).min(axis=1) / (2.0 * cd_step)
     ok = d >= 1e-12
     return ks[ok], d[ok], float(np.mean(~ok))
+
+
+def _cond1(sys, ks, coeffs, lams):
+    """(alpha_hat, c1) of estimate_cond1 from a drawn sample."""
+    vals = _max_phi(coeffs, lams)
+    alpha_hat = _slope_with_stderr(-ks * np.log(sys.ell), np.log(vals))[0]
+    c1 = float(np.max(vals * float(sys.ell) ** (alpha_hat * ks)))
+    return alpha_hat, c1
+
+
+def _cond2(sys, ks, coeffs, lams, cd_step):
+    """(beta_hat, c2, flagged fraction) of estimate_cond2 from a drawn sample."""
+    ks, vals, flagged = _min_dphi(ks, coeffs, lams, cd_step)
+    if len(vals) == 0:
+        raise RuntimeError("all sampled pairs were derivative-degenerate")
+    beta_hat = _slope_with_stderr(-ks * np.log(sys.ell), np.log(vals))[0]
+    c2_prime = float(np.min(vals * float(sys.ell) ** (beta_hat * ks)))
+    return beta_hat, 2.0 / c2_prime, flagged
 
 
 def estimate_cond1(sys: SymbolicSystem, J, depth: int, sample_pairs: int,
@@ -200,10 +220,8 @@ def estimate_cond1(sys: SymbolicSystem, J, depth: int, sample_pairs: int,
     regresses log max_J |phi| on -k log ell, and returns (alpha_hat, c1) with
     c1 inflated so the bound holds on every sampled pair.
     """
-    ks, vals = _max_phi(sys, J, depth, sample_pairs, k0, seed)
-    alpha_hat = _slope_with_stderr(-ks * np.log(sys.ell), np.log(vals))[0]
-    c1 = float(np.max(vals * float(sys.ell) ** (alpha_hat * ks)))
-    return alpha_hat, c1
+    lams = _lambda_grid(J)
+    return _cond1(sys, *_stratified_draw(sys, depth, sample_pairs, k0, seed), lams)
 
 
 def estimate_cond2(sys: SymbolicSystem, J, depth: int, sample_pairs: int,
@@ -217,12 +235,9 @@ def estimate_cond2(sys: SymbolicSystem, J, depth: int, sample_pairs: int,
     fraction) where c2 = 2 / c2', and c2' makes the envelope
     min |phi'| >= c2' ell^{-k beta_hat} hold on every retained pair.
     """
-    ks, vals, flagged = _min_dphi(sys, J, depth, sample_pairs, k0, seed, cd_step)
-    if len(vals) == 0:
-        raise RuntimeError("all sampled pairs were derivative-degenerate")
-    beta_hat = _slope_with_stderr(-ks * np.log(sys.ell), np.log(vals))[0]
-    c2_prime = float(np.min(vals * float(sys.ell) ** (beta_hat * ks)))
-    return beta_hat, 2.0 / c2_prime, flagged
+    lams = _lambda_grid(J)
+    cd_step = _cd_step(J, cd_step)
+    return _cond2(sys, *_stratified_draw(sys, depth, sample_pairs, k0, seed), lams, cd_step)
 
 
 def measure_decay(sys: SymbolicSystem, depth: int = 20) -> tuple[float, float]:
@@ -262,14 +277,21 @@ class TransversalityReport:
     inputs: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        """The report as JSON; a NaN or infinite field raises ValueError."""
+        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
 
 
 def transversality_report(sys: SymbolicSystem, J, depth: int, sample_pairs: int,
                           d_eta: float, k0: int = 2, seed: int = 0) -> TransversalityReport:
-    """Run all three estimators and evaluate the criterion inequalities."""
-    alpha_hat, c1 = estimate_cond1(sys, J, depth, sample_pairs, k0=k0, seed=seed)
-    beta_hat, c2, flagged = estimate_cond2(sys, J, depth, sample_pairs, k0=k0, seed=seed)
+    """Run all three estimators and evaluate the criterion inequalities.
+
+    The two sampled conditions share one stratified draw: estimate_cond1 and
+    estimate_cond2 at the same arguments draw the same sample.
+    """
+    lams = _lambda_grid(J)
+    ks, coeffs = _stratified_draw(sys, depth, sample_pairs, k0, seed)
+    alpha_hat, c1 = _cond1(sys, ks, coeffs, lams)
+    beta_hat, c2, flagged = _cond2(sys, ks, coeffs, lams, _cd_step(J, None))
     gamma_hat, c3 = measure_decay(sys, min(depth, 30))
     v1, v2 = criterion_verdict(d_eta, alpha_hat, beta_hat, gamma_hat)
     inputs = {"J": [float(J[0]), float(J[1])], "depth": depth,

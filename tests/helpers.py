@@ -3,7 +3,7 @@
 Scalar and inverse forms of what the package computes in bulk: the potential
 at one site, the inverse trace map, the projection of one word and the
 difference of two, the holdout checks of the fitted transversality bounds,
-and the blocked all-pairs sumset.
+the blocked all-pairs sumset, and the atom merge by stable argsort.
 """
 
 import numpy as np
@@ -11,7 +11,8 @@ import numpy as np
 from quasispec.dos import AtomicMeasure
 from quasispec.intervals import IntervalSet, _merge
 from quasispec.model import ModelParams, _indicator
-from quasispec.regularity import SymbolicSystem, _max_phi, _min_dphi
+from quasispec.regularity import (SymbolicSystem, _cd_step, _lambda_grid, _max_phi,
+                                  _min_dphi, _stratified_draw)
 from quasispec.tracemap import Point3
 
 
@@ -66,7 +67,8 @@ def common_prefix_len(omega, tau) -> int:
 def verify_cond1(sys: SymbolicSystem, J, depth: int, holdout_pairs: int,
                  alpha_hat: float, c1: float, k0: int = 2, seed: int = 1) -> int:
     """Number of holdout pairs violating the fitted bound (0 when it holds)."""
-    ks, vals = _max_phi(sys, J, depth, holdout_pairs, k0, seed)
+    ks, coeffs = _stratified_draw(sys, depth, holdout_pairs, k0, seed)
+    vals = _max_phi(coeffs, _lambda_grid(J))
     bound = c1 * (1.0 + 1e-12) * float(sys.ell) ** (-alpha_hat * ks)
     return int(np.sum(vals > bound))
 
@@ -74,7 +76,8 @@ def verify_cond1(sys: SymbolicSystem, J, depth: int, holdout_pairs: int,
 def verify_cond2(sys: SymbolicSystem, J, depth: int, holdout_pairs: int,
                  beta_hat: float, c2: float, k0: int = 2, seed: int = 1) -> int:
     """Holdout violations of the derivative envelope implied by (beta_hat, c2)."""
-    ks, vals, _ = _min_dphi(sys, J, depth, holdout_pairs, k0, seed, None)
+    ks, vals, _ = _min_dphi(*_stratified_draw(sys, depth, holdout_pairs, k0, seed),
+                            _lambda_grid(J), _cd_step(J, None))
     c2_prime = 2.0 / c2
     bound = c2_prime * (1.0 - 1e-12) * float(sys.ell) ** (-beta_hat * ks)
     return int(np.sum(vals < bound))
@@ -101,3 +104,20 @@ def allpairs_sumset(x: IntervalSet, y: IntervalSet, block: int = 2**16) -> Inter
             parts_a.append(ca)
             parts_b.append(cb)
     return IntervalSet(*_merge(np.concatenate(parts_a), np.concatenate(parts_b)))
+
+
+def argsort_merge(positions, weights, merge_tol):
+    """Atoms sorted by a stable argsort that carries the weights along, then
+    merged as `dos._merge_arrays` merges them: clusters split where the gap
+    exceeds merge_tol, each at its weighted mean clipped to its hull."""
+    pos = np.asarray(positions, dtype=float).ravel()
+    w = np.asarray(weights, dtype=float).ravel()
+    order = np.argsort(pos, kind="stable")
+    pos = pos[order]
+    w = w[order]
+    split = np.where(np.diff(pos) > merge_tol)[0] + 1
+    groups = np.concatenate(([0], split, [pos.size]))
+    gw = np.add.reduceat(w, groups[:-1])
+    gp = np.add.reduceat(pos * w, groups[:-1]) / gw
+    first, last = pos[groups[:-1]], pos[groups[1:] - 1]
+    return np.where(gp < first, first, np.where(gp > last, last, gp)), gw

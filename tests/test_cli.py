@@ -199,6 +199,72 @@ def test_non_finite_output_is_numeric_failure(tmp_path, capsys, monkeypatch):
     assert list(out.iterdir()) == []
 
 
+def test_non_finite_report_is_numeric_failure(tmp_path, capsys):
+    # two equal digits give sampled pairs with phi = 0: alpha_hat comes out
+    # infinite and c1 NaN, neither of which JSON can hold
+    cfg = tmp_path / "system.cfg"
+    cfg.write_text("digits = 0.0,0.5,0.5\n")
+    code, out = run(tmp_path, "regularity", "--system", str(cfg),
+                    "--depth", "6", "--samples", "40")
+    assert code == 3
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def _artefacts(out):
+    """Each file of an output directory, manifests without their timing fields."""
+    files = {}
+    for f in sorted(out.glob("*")) if out.exists() else []:
+        if f.name.endswith(".manifest.json"):
+            manifest = json.loads(f.read_text())
+            del manifest["duration_s"], manifest["written_at"]
+            files[f.name] = manifest
+        else:
+            files[f.name] = f.read_bytes()
+    return files
+
+
+def test_consecutive_main_calls_match_calls_with_fresh_parsers(tmp_path, monkeypatch):
+    from quasispec import cli
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda = 0.5\nomega = 0.25\n")
+    # flags set in one call and left out of the next, a usage error and a
+    # config file in between: none may carry over to a later call
+    calls = [
+        ["spectrum1d", "--lambda", "2", "--n", "40", "--lambda2", "0.7", "--omega2", "0.1"],
+        ["spectrum1d", "--n", "40"],
+        ["spectrum1d", "--bogus", "1"],
+        ["ids", "--config", str(cfg), "--n", "30", "--grid-points", "16", "--start", "2"],
+        ["ids", "--n", "30", "--grid-points", "16"],
+        ["lyapunov", "--lambdas", "0.3", "--e-samples", "2", "--m", "5", "--depth", "6"],
+        ["regularity", "--depth", "6", "--samples", "40", "--seed", "3", "--d-eta", "0.8"],
+        ["regularity", "--depth", "6", "--samples", "40"],
+        ["sumset2d", "--lambda", "0.3", "--lambda2", "0.4", "--depth", "6"],
+        ["sumset2d", "--lambda", "0.3", "--depth", "6"],
+    ]
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+
+    def outputs(root, fresh):
+        cli._parser.cache_clear()
+        results = []
+        for i, argv in enumerate(calls):
+            if fresh:
+                cli._parser.cache_clear()
+            code = main([*argv, "--out", str(root / str(i))])
+            results.append((code, _artefacts(root / str(i))))
+        return results
+
+    one_parser = outputs(tmp_path / "one", fresh=False)
+    assert len(builds) == 1
+    assert [code for code, _ in one_parser] == [0, 0, 2, 0, 0, 0, 0, 0, 0, 0]
+    assert outputs(tmp_path / "fresh", fresh=True) == one_parser
+    assert len(builds) == 1 + len(calls)
+    cli._parser.cache_clear()
+
+
 def test_tracemap_empty_cover_is_numeric_failure(tmp_path, capsys):
     code, out = run(tmp_path, "tracemap", "--lambda", "3")
     assert code == 3

@@ -12,6 +12,7 @@ from quasispec.dos import (
     kde_density,
     l2_bandwidth_trend,
     l2_norm,
+    _merge_arrays,
     local_dimension,
     merge_atoms,
     sup_cdf_distance,
@@ -19,7 +20,7 @@ from quasispec.dos import (
 from quasispec.eigensolve import eigenvalues_bisect, fibonacci_tridiag, sturm_count
 from quasispec.model import ModelParams
 
-from helpers import uniform_measure
+from helpers import argsort_merge, uniform_measure
 
 
 def delta(x=0.0):
@@ -159,6 +160,93 @@ def test_merge_atoms_chains_transitively():
 def test_merge_atoms_rejects_negative_tol():
     with pytest.raises(ValueError):
         merge_atoms([0.0], [1.0], merge_tol=-1.0)
+
+
+def test_merge_atoms_keeps_merged_atom_off_its_neighbour():
+    # the mean of the two 5.0 atoms rounds to 4.999999999999999, the position
+    # of the atom between them; clipped to the cluster's hull it stays at 5.0
+    w = np.array([1.0] * 9 + [0.5, 0.75, 0.75, 0.25, 1.0, 0.25, 0.39453125])
+    m = merge_atoms([0.0] * 13 + [5.0, 4.999999999999999, 5.0], w / w.sum(), 0.0)
+    assert m.positions.tolist() == [0.0, 4.999999999999999, 5.0]
+
+
+def _clusters(pos, merge_tol):
+    """First and last position of each cluster of the sorted atoms."""
+    s = np.sort(pos)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(s) > merge_tol) + 1))
+    return s[starts], s[np.append(starts[1:], s.size) - 1]
+
+
+def test_merge_property_preserves_moments_inside_hulls():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        pos=st.lists(st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 1e-13, 0.5, 5.0]),
+                               st.floats(-8.0, 8.0)), min_size=1, max_size=60),
+        raw_w=st.lists(st.sampled_from([1.0, 0.75, 0.5, 0.25, 0.39453125, 0.1]),
+                       min_size=60, max_size=60),
+        tol=st.sampled_from([0.0, 1e-12, 0.3]),
+    )
+    def check(pos, raw_w, tol):
+        pos = np.asarray(pos)
+        w = np.asarray(raw_w[:pos.size])
+        gp, gw = _merge_arrays(pos, w, tol)
+        n, eps = pos.size, np.finfo(float).eps
+        assert np.all(np.diff(gp) > 0)
+        first, last = _clusters(pos, tol)
+        assert np.all((first <= gp) & (gp <= last))
+        # each sum of the merge and of this check rounds at most n times
+        assert abs(gw.sum() - w.sum()) <= n * eps * w.sum()
+        assert abs(np.dot(gp, gw) - np.dot(pos, w)) <= 2 * (n + 1) * eps * np.dot(np.abs(pos), w)
+
+    check()
+
+
+def test_merge_property_equal_weights_match_argsort_merge():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # sums of these give exact ties, chains of gaps below 0.3 and +-0.0
+    values = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 1.0, 0.1, 0.2, 0.25, 1e-13]),
+                       st.floats(-4.0, 4.0))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        a=st.lists(values, min_size=1, max_size=25),
+        b=st.lists(values, min_size=1, max_size=25),
+        weight=st.sampled_from([1.0, 2.0 ** -20, 0.1, 1.0 / 3.0]),
+        tol=st.sampled_from([0.0, 1e-12, 0.3]),
+    )
+    def check(a, b, weight, tol):
+        pos = np.add.outer(a, b).ravel()
+        w = np.full(pos.size, weight)
+        gp, gw = _merge_arrays(pos, w, tol)
+        ref_p, ref_w = argsort_merge(pos, w, tol)
+        assert gp.tobytes() == ref_p.tobytes()
+        assert gw.tobytes() == ref_w.tobytes()
+
+    check()
+
+
+def test_merge_of_signed_zero_ties_matches_argsort_merge():
+    # -0.0 and 0.0 tie; np.sort may order them either way
+    pos = np.array([0.0, -0.0, -0.0, 0.0, -0.0, 1.0, -1.0, -0.0])
+    for tol in (0.0, 2.0):
+        gp, gw = _merge_arrays(pos, np.full(pos.size, 0.125), tol)
+        ref_p, ref_w = argsort_merge(pos, np.full(pos.size, 0.125), tol)
+        assert gp.tobytes() == ref_p.tobytes() and gw.tobytes() == ref_w.tobytes()
+
+
+def test_cantor_convolution_matches_argsort_merge():
+    eta = cantor_lebesgue(1.0 / 3.0, 10)
+    conv = convolve(eta, eta)
+    pos = np.add.outer(eta.positions, eta.positions).ravel()
+    w = np.multiply.outer(eta.weights, eta.weights).ravel()
+    ref_p, ref_w = argsort_merge(pos, w, conv.merge_tol)
+    assert len(conv) == 3**10
+    assert conv.positions.tobytes() == ref_p.tobytes()
+    assert conv.weights.tobytes() == ref_w.tobytes()
 
 
 def test_kde_delta_triangle_peak():

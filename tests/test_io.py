@@ -99,6 +99,17 @@ def test_write_csv_rejects_non_finite_values(tmp_path, bad):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_manifest_rejects_non_finite_values(tmp_path, bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        io.fmt(bad)
+    f = write_text(tmp_path / "out.csv", "x\n1\n")
+    with pytest.raises(ValueError, match="JSON compliant"):
+        io.write_manifest(tmp_path / "out.manifest.json", "ids", {}, [f], 0.1,
+                          extra={"value": bad})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
 def test_write_csv_round_trips_doubles(tmp_path):
     rng = np.random.default_rng(9)
     data = rng.normal(size=(1000, 2)) * 1e-7
