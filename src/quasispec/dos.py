@@ -84,16 +84,23 @@ def _merge_arrays(positions, weights, merge_tol):
 
     When every weight is the same double the positions are sorted alone,
     with no permutation to carry the weights; the result is the stable
-    argsort route's bit for bit.  Equal floats differ at most as +-0.0,
-    which give the same sums in either order, and the clip only replaces a
-    mean strictly outside the hull, so the sign of a zero end never shows.
+    argsort route's bit for bit.  Equal floats differ at most as +-0.0, and
+    np.sort may change the signs within such a tie.  A sum of zeros is -0.0
+    only when all of them are, and a zero added to anything else leaves it
+    as it was, so the tie's zeros are given one sign: 0.0 if the input holds
+    one.  The clip only replaces a mean strictly outside the hull, so the
+    sign of a zero end never shows.
     """
     if merge_tol < 0:
         raise ValueError("merge tolerance must be >= 0")
     pos = np.asarray(positions, dtype=float).ravel()
     w = np.asarray(weights, dtype=float).ravel()
     if w.size and (w == w[0]).all():
-        pos = np.sort(pos)
+        s = np.sort(pos)
+        lo, hi = s.searchsorted(0.0, "left"), s.searchsorted(0.0, "right")
+        if hi - lo > 1:
+            s[lo:hi] = -0.0 if np.signbit(pos[pos == 0.0]).all() else 0.0
+        pos = s
     else:
         order = np.argsort(pos, kind="stable")
         pos = pos[order]

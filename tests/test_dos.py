@@ -197,9 +197,12 @@ def test_merge_property_preserves_moments_inside_hulls():
         assert np.all(np.diff(gp) > 0)
         first, last = _clusters(pos, tol)
         assert np.all((first <= gp) & (gp <= last))
-        # each sum of the merge and of this check rounds at most n times
+        # each sum of the merge and of this check rounds at most n times; a
+        # subnormal product rounds by up to half the least subnormal instead
         assert abs(gw.sum() - w.sum()) <= n * eps * w.sum()
-        assert abs(np.dot(gp, gw) - np.dot(pos, w)) <= 2 * (n + 1) * eps * np.dot(np.abs(pos), w)
+        tiny = np.finfo(float).smallest_subnormal
+        assert (abs(np.dot(gp, gw) - np.dot(pos, w))
+                <= 2 * (n + 1) * (eps * np.dot(np.abs(pos), w) + tiny))
 
     check()
 
@@ -230,12 +233,16 @@ def test_merge_property_equal_weights_match_argsort_merge():
 
 
 def test_merge_of_signed_zero_ties_matches_argsort_merge():
-    # -0.0 and 0.0 tie; np.sort may order them either way
-    pos = np.array([0.0, -0.0, -0.0, 0.0, -0.0, 1.0, -1.0, -0.0])
-    for tol in (0.0, 2.0):
-        gp, gw = _merge_arrays(pos, np.full(pos.size, 0.125), tol)
-        ref_p, ref_w = argsort_merge(pos, np.full(pos.size, 0.125), tol)
-        assert gp.tobytes() == ref_p.tobytes() and gw.tobytes() == ref_w.tobytes()
+    # -0.0 and 0.0 tie; np.sort may order them either way, and on the second
+    # input it returns three -0.0 for one 0.0 and two -0.0
+    for pos in ([0.0, -0.0, -0.0, 0.0, -0.0, 1.0, -1.0, -0.0],
+                np.add.outer([-1.0, -0.0, -0.0], [-1.0, 1.0, -0.0]).ravel(),
+                [-0.0, 2.0, -0.0, -0.0], [0.0, -0.0, 0.5, 0.0]):
+        pos = np.asarray(pos)
+        for tol in (0.0, 0.6, 2.0):
+            gp, gw = _merge_arrays(pos, np.full(pos.size, 0.125), tol)
+            ref_p, ref_w = argsort_merge(pos, np.full(pos.size, 0.125), tol)
+            assert gp.tobytes() == ref_p.tobytes() and gw.tobytes() == ref_w.tobytes()
 
 
 def test_cantor_convolution_matches_argsort_merge():
