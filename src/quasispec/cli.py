@@ -2,7 +2,9 @@
 
 One subcommand per experiment; every run emits plot-ready CSV plus a JSON
 manifest sidecar, is deterministic given (flags, seed), and short-circuits
-on cache hits where caching applies.  Exit codes: 0 success, 2 usage,
+on cache hits where caching applies.  Each cmd_* writes its data files and
+returns (files, extra manifest fields); `main` times it and writes the
+manifest, so a run that fails leaves none.  Exit codes: 0 success, 2 usage,
 3 numeric failure.
 """
 
@@ -39,8 +41,13 @@ def _check_flags(args):
         raise ParameterError("--d-eta must be a finite value in [0, 1]")
 
 
+def _lam2(args) -> float:
+    """The second coupling: --lambda2 when given, else --lambda."""
+    return args.lam if args.lam2 is None else args.lam2
+
+
 def _model(args, which=1) -> ModelParams:
-    lam = args.lam if which == 1 else (args.lam2 if args.lam2 is not None else args.lam)
+    lam = args.lam if which == 1 else _lam2(args)
     om = args.omega if which == 1 else (args.omega2 if args.omega2 is not None else args.omega)
     return ModelParams(lam=lam, omega=om, n_sites=args.n)
 
@@ -52,29 +59,20 @@ def _spectrum(args, which=1):
 def cmd_spectrum1d(args, out: Path):
     if args.n > 10**5:
         raise ParameterError("box size capped at 1e5")
-    t0 = time.time()
     spec = _spectrum(args)
     f = io.write_csv(out / "spectrum1d.csv", ["eigenvalue"], spec.eigenvalues[:, None])
-    io.write_manifest(out / "spectrum1d.manifest.json", "spectrum1d",
-                      _param_map(args), [f], time.time() - t0, seed=args.seed,
-                      extra={"start_index": args.start})
-    return [f]
+    return [f], {"start_index": args.start}
 
 
 def cmd_ids(args, out: Path):
-    t0 = time.time()
     counter = box_counter(_model(args), start=args.start)
     first, last = counter.eigenvalues(np.array([1, args.n]))
     grid = np.linspace(first - 0.1, last + 0.1, args.grid_points)
     f = io.write_csv(out / "ids.csv", ["energy", "ids"], dos.ids_from_counts(counter, grid))
-    io.write_manifest(out / "ids.manifest.json", "ids", _param_map(args),
-                      [f], time.time() - t0, seed=args.seed,
-                      extra={"count_backend": counter.backend})
-    return [f]
+    return [f], {"count_backend": counter.backend}
 
 
 def cmd_tracemap(args, out: Path):
-    t0 = time.time()
     cover = tracemap.spectrum_cover(args.lam, depth=args.depth,
                                     max_iter=args.max_iter)
     if cover.empty:
@@ -92,13 +90,10 @@ def cmd_tracemap(args, out: Path):
         slope, err = box_dimension(cover, scales)
         extra["box_dimension"] = io.fmt(slope)
         extra["box_dimension_stderr"] = io.fmt(err)
-    io.write_manifest(out / "cover.manifest.json", "tracemap", _param_map(args),
-                      [f], time.time() - t0, seed=args.seed, extra=extra)
-    return [f]
+    return [f], extra
 
 
 def cmd_lyapunov(args, out: Path):
-    t0 = time.time()
     try:
         lams = [float(s) for s in args.lambdas.split(",")]
     except ValueError as err:
@@ -106,13 +101,10 @@ def cmd_lyapunov(args, out: Path):
     rows = tracemap.lyapunov_scan(lams, args.e_samples, args.m,
                                   depth=args.depth, seed=args.seed)
     f = io.write_csv(out / "lyapunov.csv", ["lambda", "mean_exponent", "spread"], rows)
-    io.write_manifest(out / "lyapunov.manifest.json", "lyapunov", _param_map(args),
-                      [f], time.time() - t0, seed=args.seed)
-    return [f]
+    return [f], {}
 
 
 def cmd_dimension(args, out: Path):
-    t0 = time.time()
     counter = box_counter(_model(args), start=args.start)
     radii = [2.0 ** -j for j in range(4, 10)]
     slope, err = dos.local_dimension_from_counts(counter, radii, samples=args.samples,
@@ -120,14 +112,10 @@ def cmd_dimension(args, out: Path):
     f = io.write_csv(out / "dimension.csv",
                      ["lambda", "local_dimension", "stderr"],
                      [(args.lam, slope, err)])
-    io.write_manifest(out / "dimension.manifest.json", "dimension",
-                      _param_map(args), [f], time.time() - t0, seed=args.seed,
-                      extra={"count_backend": counter.backend})
-    return [f]
+    return [f], {"count_backend": counter.backend}
 
 
 def cmd_dos2d(args, out: Path):
-    t0 = time.time()
     s1 = _spectrum(args, 1)
     s2 = _spectrum(args, 2)
     m1 = dos.empirical_measure(s1)
@@ -148,19 +136,16 @@ def cmd_dos2d(args, out: Path):
     slope, err = dos.local_dimension(conv, radii, samples=args.samples, seed=args.seed)
     files.append(io.write_csv(out / "dos2d_l2_trend.csv",
                               ["bandwidth", "l2_norm"], trend))
-    io.write_manifest(out / "dos2d.manifest.json", "dos2d", _param_map(args),
-                      files, time.time() - t0, seed=args.seed, extra={
-                          "l2_ratio": io.fmt(ratio),
-                          "l2_flag": "growing" if ratio >= L2_FLAG_GROWTH else "stable",
-                          "local_dimension": io.fmt(slope),
-                          "local_dimension_stderr": io.fmt(err),
-                      })
-    return files
+    return files, {
+        "l2_ratio": io.fmt(ratio),
+        "l2_flag": "growing" if ratio >= L2_FLAG_GROWTH else "stable",
+        "local_dimension": io.fmt(slope),
+        "local_dimension_stderr": io.fmt(err),
+    }
 
 
 def cmd_sumset2d(args, out: Path):
-    t0 = time.time()
-    lam2 = args.lam2 if args.lam2 is not None else args.lam
+    lam2 = _lam2(args)
     check_coupling(lam2)
     c1 = tracemap.spectrum_cover(args.lam, depth=args.depth, max_iter=args.max_iter)
     c2 = c1  # one coupling, one cover
@@ -172,37 +157,27 @@ def cmd_sumset2d(args, out: Path):
     f = io.intervals_to_csv(out / "sumset.csv", s)
     gaps = gap_report(s)
     fg = io.write_csv(out / "sumset_gaps.csv", ["gap_start", "gap_end", "width"], gaps)
-    io.write_manifest(out / "sumset.manifest.json", "sumset2d", _param_map(args),
-                      [f, fg], time.time() - t0, seed=args.seed, extra={
-                          "total_length": io.fmt(lebesgue_length(s)),
-                          "n_gaps": len(gaps),
-                      })
-    return [f, fg]
+    return [f, fg], {"total_length": io.fmt(lebesgue_length(s)), "n_gaps": len(gaps)}
 
 
 def cmd_verify_tensor(args, out: Path):
     from .separable2d import BoxSpec2D, eigs2d_dense
 
-    t0 = time.time()
     if args.n > 12:
         raise ParameterError("verify-tensor caps the box at N=12 (dense oracle)")
     spec2d = BoxSpec2D(_model(args, 1), _model(args, 2))
     sums = eigs2d_from_sums(_spectrum(args, 1), _spectrum(args, 2))
     dense = eigs2d_dense(spec2d, start=args.start)
     err = float(np.max(np.abs(sums - dense)))
-    f = io.write_csv(out / "verify_tensor.csv",
-                     ["n", "lambda1", "lambda2", "max_abs_difference"],
-                     [(args.n, args.lam, args.lam2 if args.lam2 is not None else args.lam, err)])
-    io.write_manifest(out / "verify_tensor.manifest.json", "verify-tensor",
-                      _param_map(args), [f], time.time() - t0, seed=args.seed,
-                      extra={"max_abs_difference": io.fmt(err)})
     if err > 1e-8:
         raise SystemExit(f"tensor-sum identity violated: {err:g}")
-    return [f]
+    f = io.write_csv(out / "verify_tensor.csv",
+                     ["n", "lambda1", "lambda2", "max_abs_difference"],
+                     [(args.n, args.lam, _lam2(args), err)])
+    return [f], {"max_abs_difference": io.fmt(err)}
 
 
 def cmd_regularity(args, out: Path):
-    t0 = time.time()
     if args.system == "middle-thirds":
         sys_ = regularity.middle_cantor_system(1.0 / 3.0)
         J = (0.3, 0.35)
@@ -226,26 +201,25 @@ def cmd_regularity(args, out: Path):
     radii = [2.0 ** -j for j in range(4, 9)]
     corr = regularity.correlation_integral(eta, eta, radii, seed=args.seed)
     fc = io.write_csv(out / "regularity_correlation.csv", ["radius", "estimate"], corr)
-    io.write_manifest(out / "regularity.manifest.json", "regularity",
-                      _param_map(args), [fr, fc], time.time() - t0, seed=args.seed)
-    return [fr, fc]
+    return [fr, fc], {}
 
 
+# subcommand -> (function, stem of its manifest file name)
 _COMMANDS = {
-    "spectrum1d": cmd_spectrum1d,
-    "ids": cmd_ids,
-    "tracemap": cmd_tracemap,
-    "lyapunov": cmd_lyapunov,
-    "dimension": cmd_dimension,
-    "dos2d": cmd_dos2d,
-    "sumset2d": cmd_sumset2d,
-    "verify-tensor": cmd_verify_tensor,
-    "regularity": cmd_regularity,
+    "spectrum1d": (cmd_spectrum1d, "spectrum1d"),
+    "ids": (cmd_ids, "ids"),
+    "tracemap": (cmd_tracemap, "cover"),
+    "lyapunov": (cmd_lyapunov, "lyapunov"),
+    "dimension": (cmd_dimension, "dimension"),
+    "dos2d": (cmd_dos2d, "dos2d"),
+    "sumset2d": (cmd_sumset2d, "sumset"),
+    "verify-tensor": (cmd_verify_tensor, "verify_tensor"),
+    "regularity": (cmd_regularity, "regularity"),
 }
 
 
 def _param_map(args) -> dict:
-    skip = {"func", "config", "out"}
+    skip = {"config", "out"}
     return {k: v for k, v in sorted(vars(args).items())
             if k not in skip and v is not None}
 
@@ -284,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "regularity":
             p.add_argument("--system", type=str, default="middle-thirds")
             p.add_argument("--d-eta", dest="d_eta", type=float, default=1.0)
-        p.set_defaults(func=_COMMANDS[name])
     return top
 
 
@@ -321,7 +294,11 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         _check_flags(args)
-        args.func(args, out)
+        func, stem = _COMMANDS[args.command]
+        t0 = time.perf_counter()
+        files, extra = func(args, out)
+        io.write_manifest(out / f"{stem}.manifest.json", args.command, _param_map(args),
+                          files, time.perf_counter() - t0, seed=args.seed, extra=extra)
     except ParameterError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return USAGE_EXIT

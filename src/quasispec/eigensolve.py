@@ -86,6 +86,11 @@ def _pivot_scale(diag):
     return max(1.0, float(np.max(np.abs(diag))) + 2.0)
 
 
+def _default_tol(diag) -> float:
+    """Default bisection tolerance of a box; part of the spectrum cache key."""
+    return 1e-12 * _pivot_scale(diag)
+
+
 def sturm_count(m: TridiagMatrix, e: float) -> int:
     """Number of eigenvalues of m strictly below e."""
     return int(sturm_count_batch(m, np.asarray([e], dtype=float))[0])
@@ -151,7 +156,7 @@ def eigenvalues_bisect(m: TridiagMatrix, tol: float | None = None,
     shared count evaluation.
     """
     if tol is None:
-        tol = 1e-12 * _pivot_scale(m.diag)
+        tol = _default_tol(m.diag)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     lo, hi, _ = _bisect_ranks(lambda e: sturm_count_batch(m, e), np.arange(1, m.n + 1),
@@ -276,7 +281,7 @@ class BoxCounter:
     @property
     def tol(self) -> float:
         """The bisection tolerance eigenvalues_bisect uses by default."""
-        return 1e-12 * _pivot_scale(self.matrix.diag)
+        return _default_tol(self.matrix.diag)
 
     def count(self, energies) -> np.ndarray:
         """Number of eigenvalues strictly below each energy."""
@@ -497,7 +502,7 @@ def cached_spectrum(p: ModelParams, start: int = 0, tol: float | None = None,
     """
     m = fibonacci_tridiag(p, start=start)
     if tol is None:
-        tol = 1e-12 * _pivot_scale(m.diag)
+        tol = _default_tol(m.diag)
     if cache_dir is None:
         cache_dir = os.environ.get("QUASISPEC_CACHE")
     if cache_dir is None:

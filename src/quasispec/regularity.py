@@ -32,6 +32,10 @@ class SymbolicSystem:
         ell = len(digits)
         if ell < 2:
             raise ValueError("alphabet needs at least two symbols")
+        for i, d in enumerate(digits):
+            # two symbols with one digit give pairs with phi = 0 at every lambda
+            if d in digits[:i]:
+                raise ValueError(f"digits must be distinct: {d!r} repeats")
         t = self.transition
         t = np.ones((ell, ell), dtype=int) if t is None else np.asarray(t, dtype=int)
         if t.shape != (ell, ell) or not np.isin(t, (0, 1)).all():

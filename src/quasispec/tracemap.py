@@ -61,6 +61,20 @@ def default_threshold(lam: float) -> float:
     return max(4.0, 2.0 + lam)
 
 
+def _threshold(lam: float, threshold: float | None) -> float:
+    thr = default_threshold(lam) if threshold is None else float(threshold)
+    if thr < 2.0:
+        raise ValueError("escape threshold must be >= 2")
+    return thr
+
+
+def _escaped(mk, prev1, prev2, thr):
+    """The escape rule, on arrays or scalars: the max coordinate mk is not
+    finite, or it exceeds thr after two consecutive increases.  np.isfinite
+    gives np.bool_ even for a float, so ~ is a logical not here."""
+    return ~np.isfinite(mk) | ((mk > thr) & (mk > prev1) & (prev1 > prev2))
+
+
 def escape_steps(energies, lam: float, max_iter: int,
                  threshold: float | None = None) -> np.ndarray:
     """Escape step per energy; max_iter + 1 marks orbits still bounded.
@@ -73,9 +87,7 @@ def escape_steps(energies, lam: float, max_iter: int,
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    thr = default_threshold(lam) if threshold is None else float(threshold)
-    if thr < 2.0:
-        raise ValueError("escape threshold must be >= 2")
+    thr = _threshold(lam, threshold)
     E = np.atleast_1d(np.asarray(energies, dtype=float))
     shape, E = E.shape, E.ravel()
     x = (E - lam) / 2.0
@@ -90,7 +102,7 @@ def escape_steps(energies, lam: float, max_iter: int,
         for k in range(1, max_iter + 1):
             x, y, z = 2.0 * x * y - z, x, y
             mk = np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z)))
-            esc = ~np.isfinite(mk) | ((mk > thr) & (mk > prev1) & (prev1 > prev2))
+            esc = _escaped(mk, prev1, prev2, thr)
             if esc.any():
                 steps[live[esc]] = k
                 keep = ~esc
@@ -178,7 +190,7 @@ def lyapunov_finite(E: float, lam: float, m: int,
     """
     if m < 1:
         raise ValueError("need at least one step")
-    thr = default_threshold(lam) if threshold is None else float(threshold)
+    thr = _threshold(lam, threshold)
     p = initial_point(E, lam)
     prev2, prev1 = np.inf, max(abs(p.x), abs(p.y), abs(p.z))
     v = np.array([1.0, 0.0, 0.0])
@@ -190,7 +202,7 @@ def lyapunov_finite(E: float, lam: float, m: int,
         v /= nv
         p = trace_step(p)
         mk = max(abs(p.x), abs(p.y), abs(p.z))
-        if not np.isfinite(mk) or (mk > thr and mk > prev1 and prev1 > prev2):
+        if _escaped(mk, prev1, prev2, thr):
             raise RuntimeError(f"orbit escaped at step {k} before the {m}-step horizon")
         prev2, prev1 = prev1, mk
     return acc / m

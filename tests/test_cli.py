@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -199,16 +201,72 @@ def test_non_finite_output_is_numeric_failure(tmp_path, capsys, monkeypatch):
     assert list(out.iterdir()) == []
 
 
-def test_non_finite_report_is_numeric_failure(tmp_path, capsys):
-    # two equal digits give sampled pairs with phi = 0: alpha_hat comes out
-    # infinite and c1 NaN, neither of which JSON can hold
+def test_non_finite_report_is_numeric_failure(tmp_path, capsys, monkeypatch):
+    from quasispec import regularity
+
+    # an infinite alpha_hat and a NaN c1, neither of which JSON can hold
+    monkeypatch.setattr(regularity, "_cond1", lambda *a: (np.inf, np.nan))
+    code, out = run(tmp_path, "regularity", "--depth", "6", "--samples", "40")
+    assert code == 3
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_repeated_digits_are_rejected_before_sampling(tmp_path, capsys, recwarn):
+    # two symbols with one digit would give pairs with phi = 0 at every lambda
     cfg = tmp_path / "system.cfg"
     cfg.write_text("digits = 0.0,0.5,0.5\n")
     code, out = run(tmp_path, "regularity", "--system", str(cfg),
                     "--depth", "6", "--samples", "40")
     assert code == 3
-    assert "not JSON compliant" in capsys.readouterr().err
+    assert "error: digits must be distinct: 0.5 repeats" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+    assert len(recwarn) == 0
+
+
+def test_tensor_sum_violation_leaves_no_file(tmp_path, capsys, monkeypatch):
+    from quasispec import cli
+
+    real = cli.eigs2d_from_sums
+    monkeypatch.setattr(cli, "eigs2d_from_sums", lambda s1, s2: real(s1, s2) + 1e-6)
+    code, out = run(tmp_path, "verify-tensor", "--lambda", "1", "--lambda2", "4",
+                    "--n", "6")
+    assert code == 3
+    assert "tensor-sum identity violated: 1e-06" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+# subcommand -> (small flags, manifest stem, data files in the order written)
+SMALL_RUNS = {
+    "spectrum1d": (["--n", "20"], "spectrum1d", ["spectrum1d.csv"]),
+    "ids": (["--n", "30", "--grid-points", "16"], "ids", ["ids.csv"]),
+    "tracemap": (["--lambda", "0.5", "--depth", "8"], "cover", ["cover.csv"]),
+    "lyapunov": (["--lambdas", "0.3", "--e-samples", "2", "--m", "5", "--depth", "6"],
+                 "lyapunov", ["lyapunov.csv"]),
+    "dimension": (["--n", "60", "--samples", "100"], "dimension", ["dimension.csv"]),
+    "dos2d": (["--n", "12", "--lambda2", "0.5", "--samples", "100"], "dos2d",
+              ["dos2d.csv", "dos2d_kde_h0.00390625.csv", "dos2d_kde_h0.000976562.csv",
+               "dos2d_l2_trend.csv"]),
+    "sumset2d": (["--lambda", "0.3", "--lambda2", "0.4", "--depth", "6"], "sumset",
+                 ["sumset.csv", "sumset_gaps.csv"]),
+    "verify-tensor": (["--n", "5"], "verify_tensor", ["verify_tensor.csv"]),
+    "regularity": (["--depth", "6", "--samples", "40"], "regularity",
+                   ["regularity_report.json", "regularity_correlation.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", SMALL_RUNS)
+def test_every_subcommand_writes_one_manifest_of_its_files(tmp_path, command):
+    flags, stem, files = SMALL_RUNS[command]
+    code, out = run(tmp_path, command, *flags)
+    assert code == 0
+    assert sorted(f.name for f in out.iterdir()) == sorted([*files, f"{stem}.manifest.json"])
+    manifest = json.loads((out / f"{stem}.manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["outputs"] == [
+        {"file": name, "sha256": hashlib.sha256((out / name).read_bytes()).hexdigest()}
+        for name in files]
+    assert math.isfinite(manifest["duration_s"]) and manifest["duration_s"] >= 0
 
 
 def _artefacts(out):

@@ -36,6 +36,10 @@ def test_system_validation():
         SymbolicSystem(digits=(0.0, 1.0), weights=(0.4, 0.4))
     with pytest.raises(ValueError):
         SymbolicSystem(digits=(0.0, 1.0), transition=[[1, 0], [0, 1]])  # reducible
+    with pytest.raises(ValueError, match="digits must be distinct: 0.5 repeats"):
+        SymbolicSystem(digits=(0.0, 0.5, 0.5))
+    with pytest.raises(ValueError, match="distinct"):
+        SymbolicSystem(digits=(0.0, 1.0, -0.0))
 
 
 def test_pi_lambda_examples():

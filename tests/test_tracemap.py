@@ -92,6 +92,11 @@ def test_escape_validates_arguments():
         escape_test(0.0, 0.0, 0)
     with pytest.raises(ValueError):
         escape_test(0.0, 0.0, 10, threshold=1.0)
+    # the production paths share one threshold check
+    with pytest.raises(ValueError, match="threshold must be >= 2"):
+        escape_steps([0.0, 1.0], 0.5, 10, threshold=1.999)
+    with pytest.raises(ValueError, match="threshold must be >= 2"):
+        lyapunov_finite(2.0, 0.0, 10, threshold=1.0)
 
 
 def test_escape_threshold_parameter_is_honored():
