@@ -188,11 +188,16 @@ def cmd_regularity(args, out: Path):
         sys_ = regularity.SymbolicSystem(digits=(0.0, 0.5))
         J = (0.3, 0.35)
     else:
-        cfg = io.load_config(args.system)
-        digits = tuple(float(x) for x in cfg["digits"].split(","))
-        weights = tuple(float(x) for x in cfg["weights"].split(",")) if "weights" in cfg else None
+        cfg = _load_config(args.system)
+        if "digits" not in cfg:
+            raise ParameterError(f"system file {args.system} sets no digits")
+        try:
+            digits = tuple(float(x) for x in cfg["digits"].split(","))
+            weights = tuple(float(x) for x in cfg["weights"].split(",")) if "weights" in cfg else None
+            J = tuple(float(x) for x in cfg.get("J", "0.3,0.35").split(","))
+        except ValueError as err:
+            raise ParameterError(f"system file {args.system}: {err}") from err
         sys_ = regularity.SymbolicSystem(digits=digits, weights=weights)
-        J = tuple(float(x) for x in cfg.get("J", "0.3,0.35").split(","))
     report = regularity.transversality_report(sys_, J, depth=args.depth,
                                               sample_pairs=args.samples,
                                               d_eta=args.d_eta, seed=args.seed)
@@ -267,12 +272,22 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _load_config(path) -> dict:
+    """io.load_config, with an unreadable or malformed file a usage error."""
+    try:
+        return io.load_config(path)
+    except (OSError, ValueError) as err:
+        raise ParameterError(f"config file {path}: {err}") from err
+
+
 def _apply_config(argv, parser):
     """Config file values become defaults; explicit flags override them."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
-    cfg = io.load_config(argv[i + 1])
+    if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+        raise ParameterError("--config needs a file name")
+    cfg = _load_config(argv[i + 1])
     extra = []
     for k, v in cfg.items():
         flag = "--" + k.replace("_", "-")
@@ -290,6 +305,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return USAGE_EXIT if e.code not in (0, None) else 0
+    except ParameterError as err:
+        print(f"usage error: {err}", file=sys.stderr)
+        return USAGE_EXIT
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:

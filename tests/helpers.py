@@ -3,7 +3,8 @@
 Scalar and inverse forms of what the package computes in bulk: the potential
 at one site, the inverse trace map, the projection of one word and the
 difference of two, the holdout checks of the fitted transversality bounds,
-the blocked all-pairs sumset, and the atom merge by stable argsort.
+the blocked all-pairs sumset, the atom merge by stable argsort, and the
+spectrum cover that probes every midpoint.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from quasispec.intervals import IntervalSet, _merge
 from quasispec.model import ModelParams, _indicator
 from quasispec.regularity import (SymbolicSystem, _cd_step, _lambda_grid, _max_phi,
                                   _min_dphi, _stratified_draw)
-from quasispec.tracemap import Point3
+from quasispec.tracemap import Point3, default_max_iter, escape_steps
 
 
 def potential_value(n: int, p: ModelParams) -> float:
@@ -121,3 +122,18 @@ def argsort_merge(positions, weights, merge_tol):
     gp = np.add.reduceat(pos * w, groups[:-1]) / gw
     first, last = pos[groups[:-1]], pos[groups[1:] - 1]
     return np.where(gp < first, first, np.where(gp > last, last, gp)), gw
+
+
+def allprobe_cover(lam, window=None, depth=12, max_iter=None, threshold=None) -> IntervalSet:
+    """spectrum_cover probing every edge and every midpoint; a cell survives
+    when any of its three probes stays bounded.  No argument checks."""
+    if window is None:
+        window = (-3.0, 3.0 + lam)
+    if max_iter is None:
+        max_iter = default_max_iter(depth)
+    edges = np.linspace(float(window[0]), float(window[1]), 2**depth + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    be = escape_steps(edges, lam, max_iter, threshold) > max_iter
+    bm = escape_steps(mids, lam, max_iter, threshold) > max_iter
+    keep = bm | be[:-1] | be[1:]
+    return IntervalSet(*_merge(edges[:-1][keep], edges[1:][keep]))

@@ -149,6 +149,26 @@ def test_config_file_supplies_defaults(tmp_path):
     assert rows.shape[0] == 32
 
 
+@pytest.mark.parametrize("case", ["missing", "junk", "last", "before-flag", "system",
+                                  "system-junk"])
+def test_unreadable_config_is_usage_error(tmp_path, capsys, case):
+    junk = tmp_path / "junk.cfg"
+    junk.write_text("junk\n")
+    missing = str(tmp_path / "missing.cfg")
+    out = str(tmp_path / "out")
+    argv = {
+        "missing": ["spectrum1d", "--config", missing, "--out", out],
+        "junk": ["spectrum1d", "--config", str(junk), "--out", out],
+        "last": ["spectrum1d", "--out", out, "--config"],
+        "before-flag": ["spectrum1d", "--config", "--out", out],
+        "system": ["regularity", "--system", missing, "--out", out],
+        "system-junk": ["regularity", "--system", str(junk), "--out", out],
+    }[case]
+    assert main(argv) == 2
+    assert "usage error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
 def test_numeric_failure_exit_code(tmp_path):
     # empty covers cannot be summed
     code = main(["sumset2d", "--lambda", "4", "--depth", "6", "--max-iter", "60",

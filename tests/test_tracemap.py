@@ -15,7 +15,7 @@ from quasispec.tracemap import (
     trace_step,
 )
 
-from helpers import trace_step_inverse
+from helpers import allprobe_cover, trace_step_inverse
 
 
 def test_trace_step_fixed_points_and_example():
@@ -208,9 +208,9 @@ def test_cover_box_dimension_decreases_with_coupling():
     assert all(a > b for a, b in zip(dims, dims[1:]))
 
 
-def loop_escape_steps(energies, lam, max_iter):
+def loop_escape_steps(energies, lam, max_iter, threshold=None):
     """The fixed-size escape loop that masked dead orbits, kept as an oracle."""
-    thr = max(4.0, 2.0 + lam)
+    thr = max(4.0, 2.0 + lam) if threshold is None else threshold
     E = np.atleast_1d(np.asarray(energies, dtype=float))
     x, y, z = (E - lam) / 2.0, E / 2.0, np.ones_like(E)
     prev1 = np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z)))
@@ -234,19 +234,35 @@ def loop_escape_steps(energies, lam, max_iter):
     return steps
 
 
-@pytest.mark.parametrize("lam, max_iter", [(0.3, 42), (1.0, 40), (4.0, 15)])
-def test_escape_steps_match_masked_loop_and_scalar_test(lam, max_iter):
+# non-finite, overflowing and subnormal energies, mixed into the draws below
+EXTREME_ENERGIES = [np.inf, -np.inf, np.nan, 1e300, -1e300, 1.7e308, -1.7e308, 5e-324]
+
+
+def _escape_case(lam, max_iter, threshold=None):
+    tag = f"{lam}-{max_iter}" + ("" if threshold is None else f"-thr{threshold:g}")
+    return pytest.param(lam, max_iter, threshold, id=tag)
+
+
+@pytest.mark.parametrize("lam, max_iter, threshold", [
+    _escape_case(0.3, 42), _escape_case(1.0, 40), _escape_case(4.0, 15),
+    _escape_case(0.3, 42, 2.0), _escape_case(1.0, 40, 1e6), _escape_case(4.0, 15, 1e6),
+    _escape_case(0.5, 1), _escape_case(0.5, 2), _escape_case(0.5, 3),
+    _escape_case(0.0, 60),
+])
+def test_escape_steps_match_masked_loop_and_scalar_test(lam, max_iter, threshold):
     rng = np.random.default_rng(int(10 * lam))
-    es = np.concatenate([rng.uniform(-3.0, 3.0 + lam, 3000),
-                         np.linspace(-3.0, 3.0 + lam, 2**12 + 1)])
-    steps = escape_steps(es, lam, max_iter)
-    assert np.array_equal(steps, loop_escape_steps(es, lam, max_iter))
+    draw = rng.uniform(-3.0, 3.0 + lam, 3000)
+    draw[rng.choice(400, len(EXTREME_ENERGIES), replace=False)] = EXTREME_ENERGIES
+    es = np.concatenate([draw, np.linspace(-3.0, 3.0 + lam, 2**12 + 1)])
+    steps = escape_steps(es, lam, max_iter, threshold)
+    assert np.array_equal(steps, loop_escape_steps(es, lam, max_iter, threshold))
     assert 0 < np.sum(steps > max_iter) < es.size
     for e, k in zip(es[:400], steps[:400]):
-        r = escape_test(float(e), lam, max_iter)
+        r = escape_test(float(e), lam, max_iter, threshold)
         assert r.steps == (k if r.escaped else max_iter) and r.escaped == (k <= max_iter)
     grid = es[:3000].reshape(60, 50)
-    assert np.array_equal(escape_steps(grid, lam, max_iter), steps[:3000].reshape(60, 50))
+    assert np.array_equal(escape_steps(grid, lam, max_iter, threshold),
+                          steps[:3000].reshape(60, 50))
 
 
 def test_cover_rejects_bad_coupling_and_depth_before_allocating():
@@ -259,3 +275,22 @@ def test_cover_rejects_bad_coupling_and_depth_before_allocating():
     for depth in (0, -3, MAX_DEPTH + 1, 40):
         with pytest.raises(ParameterError):
             spectrum_cover(0.3, depth=depth)
+
+
+def _cover_cases():
+    for lam in (0.0, 0.3, 0.5, 2.0, 4.0):
+        for depth in (8, 12, 15):
+            yield pytest.param(lam, depth, {}, id=f"{lam}-{depth}")
+            if lam >= 2.0:  # the default budget empties these covers
+                yield pytest.param(lam, depth, {"max_iter": 10}, id=f"{lam}-{depth}-iter10")
+    yield pytest.param(0.5, 12, {"window": (-1.3, 2.05)}, id="0.5-12-window")
+    yield pytest.param(0.3, 12, {"threshold": 10.0}, id="0.3-12-thr10")
+
+
+@pytest.mark.parametrize("lam, depth, kwargs", _cover_cases())
+def test_cover_skipping_decided_midpoints_matches_all_probe_cover(lam, depth, kwargs):
+    cov = spectrum_cover(lam, depth=depth, **kwargs)
+    ref = allprobe_cover(lam, depth=depth, **kwargs)
+    assert np.array_equal(cov.a, ref.a) and np.array_equal(cov.b, ref.b)
+    assert not cov.empty or (lam >= 2.0 and not kwargs)
+
