@@ -150,23 +150,26 @@ def test_config_file_supplies_defaults(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["missing", "junk", "last", "before-flag", "system",
-                                  "system-junk"])
+                                  "system-junk", "system-no-digits", "system-text"])
 def test_unreadable_config_is_usage_error(tmp_path, capsys, case):
-    junk = tmp_path / "junk.cfg"
-    junk.write_text("junk\n")
+    files = {"junk": "junk\n", "no-digits": "weights = 0.5,0.5\n", "text": "digits = 0,x\n"}
+    for name, text in files.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
     missing = str(tmp_path / "missing.cfg")
-    out = str(tmp_path / "out")
+    out = tmp_path / "out"
     argv = {
-        "missing": ["spectrum1d", "--config", missing, "--out", out],
-        "junk": ["spectrum1d", "--config", str(junk), "--out", out],
-        "last": ["spectrum1d", "--out", out, "--config"],
-        "before-flag": ["spectrum1d", "--config", "--out", out],
-        "system": ["regularity", "--system", missing, "--out", out],
-        "system-junk": ["regularity", "--system", str(junk), "--out", out],
-    }[case]
-    assert main(argv) == 2
+        "missing": ["spectrum1d", "--config", missing, "--out", str(out)],
+        "junk": ["spectrum1d", "--config", str(tmp_path / "junk.cfg"), "--out", str(out)],
+        "last": ["spectrum1d", "--out", str(out), "--config"],
+        "before-flag": ["spectrum1d", "--config", "--out", str(out)],
+        "system": ["regularity", "--system", missing, "--out", str(out)],
+    }
+    for name in files:
+        argv[f"system-{name}"] = ["regularity", "--system", str(tmp_path / f"{name}.cfg"),
+                                  "--out", str(out)]
+    assert main(argv[case]) == 2
     assert "usage error:" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_numeric_failure_exit_code(tmp_path):
