@@ -281,13 +281,21 @@ def _load_config(path) -> dict:
 
 
 def _apply_config(argv, parser):
-    """Config file values become defaults; explicit flags override them."""
-    if "--config" not in argv:
+    """Config file values become defaults; explicit flags override them.
+
+    The file is named by `--config FILE` or `--config=FILE`.
+    """
+    for i, arg in enumerate(argv):
+        flag, eq, path = arg.partition("=")
+        if flag == "--config":
+            break
+    else:
         return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+    if not eq and i + 1 < len(argv) and not argv[i + 1].startswith("-"):
+        path = argv[i + 1]
+    if not path:
         raise ParameterError("--config needs a file name")
-    cfg = _load_config(argv[i + 1])
+    cfg = _load_config(path)
     extra = []
     for k, v in cfg.items():
         flag = "--" + k.replace("_", "-")

@@ -282,17 +282,18 @@ def local_dimension_from_counts(counter, radii, samples: int = 400,
     as `eigensolve.BoxCounter` does.  The atoms are drawn by the same
     rng.choice as AtomicMeasure.sample on n equal weights, only the drawn
     ranks are bisected, and each ball mass is a difference of two counts,
-    all x +- r in one count call.  Without merged atoms this is the
-    estimate of local_dimension(empirical_measure(spectrum)).
+    all x +- r of the distinct drawn atoms in one count call.  Without
+    merged atoms this is the estimate of
+    local_dimension(empirical_measure(spectrum)).
     """
     radii = _dimension_radii(radii, samples)
     n = counter.n
     w = np.full(n, 1.0 / n)
     idx = np.random.default_rng(seed).choice(n, size=samples, p=w / w.sum())
     ranks, which = np.unique(idx, return_inverse=True)
-    xs = counter.eigenvalues(ranks + 1)[which]
+    xs = counter.eigenvalues(ranks + 1)
     r = radii[:, None]
-    cum = _count_cdf(n)[counter.count(np.stack([xs + r, xs - r]))]
+    cum = _count_cdf(n)[counter.count(np.stack([xs + r, xs - r]))[..., which]]
     logm = np.array([np.mean(np.log(hi - lo)) for hi, lo in zip(*cum)])
     return _slope_with_stderr(np.log(radii), logm)
 

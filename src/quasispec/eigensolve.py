@@ -25,7 +25,7 @@ from .model import ModelParams, potential_vector, site_letters
 _JACOBI_MAX_DIM = 256
 _BLOCK_ROWS = 32
 _BLOCK_FLOATS = 1 << 17
-_COUNT_BLOCK = 512  # energies per block of a lifted count
+_COUNT_BLOCK = 1024  # energies per block of a lifted count
 _REPAIR_PROBES = 8  # probes on each side of a bracket that failed its certificate
 _CERTIFY_MIN_SITES = 128  # smaller boxes bisect faster on Sturm counts alone
 
@@ -153,7 +153,8 @@ def eigenvalues_bisect(m: TridiagMatrix, tol: float | None = None,
 
     The k-th smallest eigenvalue is bisected inside the Gershgorin interval
     until the bracket width is <= tol; all N bisections advance together on a
-    shared count evaluation.
+    shared count evaluation.  It runs the per-rank loop `_bisect_ranks`, not
+    `_bisect_tree`, so this oracle stays independent of the loop it checks.
     """
     if tol is None:
         tol = _default_tol(m.diag)
@@ -169,7 +170,9 @@ def _bisect_ranks(count, ranks, lo, hi, tol):
 
     Rank k (1 = smallest) is bisected inside [lo, hi] on count(E) >= k; all
     brackets halve together, on one count call per step, until every one is
-    at most tol wide.  The eigenvalue is the bracket's midpoint.
+    at most tol wide.  The eigenvalue is the bracket's midpoint.  Each call
+    counts one energy per rank, in rank order, so count may depend on the
+    rank as well as on the energy.
     """
     lo = np.full(ranks.shape, lo)
     hi = np.full(ranks.shape, hi)
@@ -181,6 +184,47 @@ def _bisect_ranks(count, ranks, lo, hi, tol):
         lo = np.where(have, lo, mid)
         halvings += 1
     return lo, hi, halvings
+
+
+def _bisect_tree(count, ranks, lo, hi, tol):
+    """The (lo, hi, halvings) of `_bisect_ranks`, each distinct bracket counted once.
+
+    Every bracket is a node of one tree: [lo, hi], split at 0.5 * (lo + hi).
+    Ranks in one node share its lo.  Each call counts the heap-ordered
+    midpoints of the top b levels of every distinct node's subtree, with
+    b >= 1 the largest depth that fits _COUNT_BLOCK energies, and the ranks
+    then descend those levels by lookup, testing the width before each
+    halving as `_bisect_ranks` does.  The midpoints are the same doubles, so
+    for an elementwise count (a function of the energy alone) the result
+    equals `_bisect_ranks`'s bit for bit.  Sturm bisection, in
+    `eigenvalues_bisect` and the repair of `certified_spectrum`, keeps the
+    per-rank loop, so the oracle does not share this one.
+    """
+    shape, ranks = np.shape(ranks), np.ravel(ranks)
+    lo = np.full(ranks.shape, lo)
+    hi = np.full(ranks.shape, hi)
+    halvings = 0
+    while np.max(hi - lo) > tol:
+        node_lo, first, node = np.unique(lo, return_index=True, return_inverse=True)
+        levels = max(1, (_COUNT_BLOCK // node_lo.size + 1).bit_length() - 1)
+        a, b, mids = node_lo[:, None], hi[first, None], []
+        for _ in range(levels):
+            m = 0.5 * (a + b)
+            mids.append(m)
+            a = np.stack([a, m], axis=2).reshape(node_lo.size, -1)
+            b = np.stack([m, b], axis=2).reshape(node_lo.size, -1)
+        counts = count(np.concatenate(mids, axis=1))
+        at = np.zeros(ranks.shape, dtype=np.intp)  # heap index: children 2i+1, 2i+2
+        for level in range(levels):
+            if level and not np.max(hi - lo) > tol:
+                break
+            mid = 0.5 * (lo + hi)
+            have = counts[node, at] >= ranks
+            hi = np.where(have, mid, hi)
+            lo = np.where(have, lo, mid)
+            at = 2 * at + 2 - have
+            halvings += 1
+    return lo.reshape(shape), hi.reshape(shape), halvings
 
 
 def _fibonacci_words(min_len):
@@ -264,8 +308,9 @@ class BoxCounter:
     largest entry and the half-turns n of the lifted angle of its first
     column, which starts at e1.  With x the first column's x-component after
     the signing of `_signed_angle`, count(E) = N - n - [x <= 0].  Energies go
-    in blocks of 512, which bounds the memory of a call: blocks of 1024 ran
-    no faster and left about 0.6 MB more resident.
+    in blocks of 1024, which bounds the memory of a call; `eigenvalues` fills
+    one block per call (`_bisect_tree`), so a 1000-site spectrum's ranks take
+    one block per halving, where blocks of 512 took two.
     backend "sturm": letters not found in c; counts are Sturm passes.
     """
 
@@ -306,10 +351,10 @@ class BoxCounter:
 
     def eigenvalues(self, ranks) -> np.ndarray:
         """Eigenvalues of the given ranks (1 = smallest), bisected on these
-        counts from the Gershgorin interval to the default tolerance of
-        eigenvalues_bisect."""
-        lo, hi, _ = _bisect_ranks(self.count, np.asarray(ranks), *self.matrix.gershgorin(),
-                                  self.tol)
+        counts by `_bisect_tree` from the Gershgorin interval to the default
+        tolerance of eigenvalues_bisect."""
+        lo, hi, _ = _bisect_tree(self.count, np.asarray(ranks), *self.matrix.gershgorin(),
+                                 self.tol)
         return 0.5 * (lo + hi)
 
 
@@ -338,29 +383,31 @@ def certified_spectrum(p: ModelParams, start: int = 0,
     """All eigenvalues of the Fibonacci box, equal bit for bit to eigenvalues_bisect.
 
     Propose: every rank 1..N is bisected on the box's lifted counts, from the
-    Gershgorin interval to tol, by the loop of eigenvalues_bisect.  Certify:
-    Sturm counts at the distinct bracket ends, in passes of at most N
-    energies, keep rank k when sturm(lo_k) < k <= sturm(hi_k).  Repair: one more Sturm pass probes each
-    failed bracket widened by 1, 2, 4, ..., 128 widths on either side, and
-    the failed ranks are bisected on Sturm counts from the Gershgorin
-    interval.  There a midpoint at or below a probe whose count is below k,
-    or at or above one whose count is at least k, takes that probe's count
-    instead of a pass; by monotonicity both decide the step alike.  When the
-    repair halves a different number of times than the lifted run, the box
-    has no lifted counts, or it has fewer than 128 sites, the result is
-    eigenvalues_bisect itself: below about 128 sites the lifted bisection's
-    41 calls of O(log N) products cost more than 41 Sturm passes.
+    Gershgorin interval to tol, by `_bisect_tree`, whose brackets are those
+    of eigenvalues_bisect's loop on the same counts.  Certify: Sturm counts
+    at the distinct bracket ends, in passes of at most N energies, keep rank
+    k when sturm(lo_k) < k <= sturm(hi_k).  Repair: one more Sturm pass
+    probes each failed bracket widened by 1, 2, 4, ..., 128 widths on either
+    side, and the failed ranks are bisected on Sturm counts from the
+    Gershgorin interval, one energy per rank (`_bisect_ranks`).  There a
+    midpoint at or below a probe whose count is below k, or at or above one
+    whose count is at least k, takes that probe's count instead of a pass;
+    by monotonicity both decide the step alike.  When the repair halves a
+    different number of times than the lifted run, the box has no lifted
+    counts, or it has fewer than 128 sites, the result is eigenvalues_bisect
+    itself: below about 128 sites the lifted bisection's calls of O(log N)
+    products cost more than 41 Sturm passes.
 
-    Why this is exact.  Every run's brackets are nodes of one tree: the
-    Gershgorin interval, split at 0.5 * (lo + hi).  If the Sturm count is
-    monotone in E, exactly one node per level satisfies the certificate, and
-    Sturm bisection of rank k passes through it.  A run halves until every
-    bracket is at most tol wide, so it stops at the largest of its paths'
-    stopping levels, each the level where that path's width first drops to
-    tol or below.  A certified bracket is a node of the Sturm path, which
-    therefore stops no later than the lifted run.  So when the repair halves
-    as often as the lifted run, so does Sturm bisection, and every bracket
-    is its bracket.
+    Why this is exact.  Every run's brackets, from either loop, are nodes of
+    one tree: the Gershgorin interval, split at 0.5 * (lo + hi).  If the Sturm
+    count is monotone in E, exactly one node per level satisfies the
+    certificate, and Sturm bisection of rank k passes through it.  A run
+    halves until every bracket is at most tol wide, so it stops at the largest
+    of its paths' stopping levels, each the level where that path's width
+    first drops to tol or below.  A certified bracket is a node of the Sturm
+    path, which therefore stops no later than the lifted run.  So when the
+    repair halves as often as the lifted run, so does Sturm bisection, and
+    every bracket is its bracket.
 
     Why the count is monotone (Kahan; Demmel-Dhillon-Ren 1995).  Order the
     states (c, d) of the pass (c negative pivots so far, d the last pivot)
@@ -384,7 +431,7 @@ def certified_spectrum(p: ModelParams, start: int = 0,
         return eigenvalues_bisect(m, tol=tol, params=p)
     ranks = np.arange(1, m.n + 1)
     g_lo, g_hi = m.gershgorin()
-    lo, hi, halvings = _bisect_ranks(counter.count, ranks, g_lo, g_hi, tol)
+    lo, hi, halvings = _bisect_tree(counter.count, ranks, g_lo, g_hi, tol)
     ends, at = np.unique(np.concatenate([lo, hi]), return_inverse=True)
     # passes of at most N energies keep the memory of a Sturm bisection pass
     counts = np.concatenate([sturm_count_batch(m, part)

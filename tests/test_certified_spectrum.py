@@ -42,16 +42,19 @@ def sturm_spectrum(p, start=0):
 
 
 def spy_bisections(monkeypatch, halvings_shift=0):
-    """Record the size of each _bisect_ranks run; add halvings_shift to the repair's halvings."""
+    """Record the size of each bisection run, by either loop (_bisect_tree or
+    _bisect_ranks); add halvings_shift to the second run's (the repair's) halvings."""
     sizes = []
-    real = eigensolve._bisect_ranks
 
-    def spy(count, ranks, lo, hi, tol):
-        sizes.append(ranks.size)
-        lo, hi, halvings = real(count, ranks, lo, hi, tol)
-        return lo, hi, halvings + (halvings_shift if len(sizes) == 2 else 0)
+    def spy(real):
+        def run(count, ranks, lo, hi, tol):
+            sizes.append(ranks.size)
+            lo, hi, halvings = real(count, ranks, lo, hi, tol)
+            return lo, hi, halvings + (halvings_shift if len(sizes) == 2 else 0)
+        return run
 
-    monkeypatch.setattr(eigensolve, "_bisect_ranks", spy)
+    for name in ("_bisect_tree", "_bisect_ranks"):
+        monkeypatch.setattr(eigensolve, name, spy(getattr(eigensolve, name)))
     return sizes
 
 

@@ -149,8 +149,21 @@ def test_config_file_supplies_defaults(tmp_path):
     assert rows.shape[0] == 32
 
 
+@pytest.mark.parametrize("n_flag", [[], ["--n", "32"], ["--n=32"]])
+def test_config_equals_form_supplies_defaults(tmp_path, n_flag):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda = 0\nn = 16\n")
+    code, out = run(tmp_path, "spectrum1d", f"--config={cfg}", *n_flag)
+    assert code == 0
+    _, rows = read_csv(out / "spectrum1d.csv")
+    assert rows.shape[0] == (32 if n_flag else 16)
+    manifest = json.loads((out / "spectrum1d.manifest.json").read_text())
+    assert manifest["params"]["n"] == str(rows.shape[0])
+
+
 @pytest.mark.parametrize("case", ["missing", "junk", "last", "before-flag", "system",
-                                  "system-junk", "system-no-digits", "system-text"])
+                                  "system-junk", "system-no-digits", "system-text",
+                                  "equals-missing", "equals-empty"])
 def test_unreadable_config_is_usage_error(tmp_path, capsys, case):
     files = {"junk": "junk\n", "no-digits": "weights = 0.5,0.5\n", "text": "digits = 0,x\n"}
     for name, text in files.items():
@@ -162,6 +175,8 @@ def test_unreadable_config_is_usage_error(tmp_path, capsys, case):
         "junk": ["spectrum1d", "--config", str(tmp_path / "junk.cfg"), "--out", str(out)],
         "last": ["spectrum1d", "--out", str(out), "--config"],
         "before-flag": ["spectrum1d", "--config", "--out", str(out)],
+        "equals-missing": ["spectrum1d", f"--config={missing}", "--out", str(out)],
+        "equals-empty": ["spectrum1d", "--config=", "--out", str(out)],
         "system": ["regularity", "--system", missing, "--out", str(out)],
     }
     for name in files:

@@ -445,14 +445,29 @@ def test_sumset_two_passes_match_sweep_hypothesis(monkeypatch, searches):
 
     # blocks of a share of all pairs, so that pass 1 takes some rows and
     # columns and leaves rows to pass 2; the smallest give several blocks
-    @hypothesis.settings(max_examples=150, deadline=None, database=None)
-    @hypothesis.given(x=sets, y=sets, share=st.sampled_from([2, 3, 5, 40]))
-    def prop(x, y, share):
+    def check(x, y, share):
         monkeypatch.setattr("quasispec.intervals._SUMSET_BLOCK",
                             max(1, len(x) * len(y) // share))
         s = sumset(x, y)
         assert_same(s, sweep_sumset(x, y))
         assert_same(sumset(y, x), (s.a, s.b))
 
-    prop()
+    hypothesis.settings(max_examples=150, deadline=None, database=None)(
+        hypothesis.given(x=sets, y=sets, share=st.sampled_from([2, 3, 5, 40]))(check))()
+
+    # the same kind of sets from a fixed numpy draw, where the count of
+    # pass-2 searches does not depend on the random examples above
+    rng = np.random.default_rng(0)
+
+    def step(top, zero=False):
+        k = int(rng.integers(1, top + 1))
+        return (k / 8, k / 10, None, 0.0)[rng.integers(4 if zero else 3)]
+
+    def draw():
+        items = [(step(4), step(12, zero=True)) for _ in range(rng.integers(1, 25))]
+        return build(int(rng.integers(-20, 21)) / 4, items)
+
+    searches.clear()
+    for _ in range(150):
+        check(draw(), draw(), int(rng.choice([2, 3, 5, 40])))
     assert len(searches) >= 15  # pass 2 searched in a good share of the examples

@@ -14,11 +14,14 @@ import json
 import numpy as np
 import pytest
 
-from quasispec import dos
+from quasispec import dos, eigensolve
 from quasispec.cli import main
 from quasispec.eigensolve import (
+    _bisect_ranks,
+    _bisect_tree,
     _pivot_scale,
     box_counter,
+    certified_spectrum,
     eigenvalues_bisect,
     fibonacci_tridiag,
     sturm_count_batch,
@@ -104,6 +107,69 @@ def test_count_blocks_match_one_block():
     got = counter.count(e)
     assert got.shape == e.shape
     assert np.array_equal(got.ravel(), np.concatenate([counter.count(r) for r in e]))
+
+
+def rank_sets(n, rng):
+    """All ranks, the two ends, random ranks with repeats, and a scalar and a 2-D rank."""
+    return {"all": np.arange(1, n + 1), "ends": np.array([1, n]),
+            "random": rng.integers(1, n + 1, 60), "repeats": rng.integers(1, min(n, 7) + 1, 120),
+            "scalar": np.asarray(n), "2-D": rng.integers(1, n + 1, (3, 4))}
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0, 4.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 1000, 4181])
+def test_tree_bisection_equals_the_per_rank_loop(lam, n):
+    rng = np.random.default_rng(int(100 * lam) + 3 * n)
+    p = ModelParams(lam, omega=float(rng.uniform()), n_sites=n)
+    counter = box_counter(p, start=int(rng.integers(1, 10**6)))
+    assert counter.backend == "lifted"
+    counts = {"lifted": counter.count, "sturm": lambda e: sturm_count_batch(counter.matrix, e)}
+    for name, ranks in rank_sets(n, rng).items():
+        for backend, count in counts.items():
+            if backend == "sturm" and n > 1000 and name not in ("ends", "repeats"):
+                continue  # 41 Sturm passes of 4181 sites take 0.5-3 s per loop
+            want = _bisect_ranks(count, ranks, *counter.matrix.gershgorin(), counter.tol)
+            got = _bisect_tree(count, ranks, *counter.matrix.gershgorin(), counter.tol)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert got[2] == want[2]
+
+
+def spy_count_calls(monkeypatch):
+    """Record the number of energies of each BoxCounter.count call."""
+    sizes = []
+    real = eigensolve.BoxCounter.count
+
+    def count(self, energies):
+        sizes.append(np.size(energies))
+        return real(self, energies)
+
+    monkeypatch.setattr(eigensolve.BoxCounter, "count", count)
+    return sizes
+
+
+def test_tree_bisection_count_call_budget(monkeypatch):
+    p = ModelParams(1.0, omega=0.37, n_sites=1000)
+    counter = box_counter(p, start=5)
+    sizes = spy_count_calls(monkeypatch)
+    counter.eigenvalues(np.array([1, 1000]))  # the ranks of ids
+    assert 0 < len(sizes) <= 6 and max(sizes) <= eigensolve._COUNT_BLOCK
+    sizes.clear()
+    eigs = counter.eigenvalues(np.arange(1, 1001))
+    assert 0 < len(sizes) <= 33 and max(sizes) <= eigensolve._COUNT_BLOCK
+    sizes.clear()
+    assert np.array_equal(certified_spectrum(p, 5).eigenvalues, np.sort(eigs))
+    assert 0 < len(sizes) <= 33 and max(sizes) <= eigensolve._COUNT_BLOCK
+
+
+def test_dimension_counts_the_balls_of_each_distinct_atom_once(monkeypatch):
+    n, samples, radii = 300, 400, [2.0 ** -j for j in range(4, 10)]
+    counter = box_counter(ModelParams(1.0, omega=0.37, n_sites=n), start=5)
+    w = np.full(n, 1.0 / n)
+    drawn = np.unique(np.random.default_rng(9).choice(n, size=samples, p=w / w.sum()))
+    assert drawn.size < samples
+    sizes = spy_count_calls(monkeypatch)
+    dos.local_dimension_from_counts(counter, radii, samples=samples, seed=9)
+    assert sizes[-1] == 2 * len(radii) * drawn.size
 
 
 @pytest.mark.parametrize("command, csv", [("ids", "ids.csv"), ("dimension", "dimension.csv")])
