@@ -8,7 +8,9 @@ Counts of a Fibonacci box also come from products of the transfer matrices
 of the Fibonacci words (`box_counter`), O(log N) per energy.  A box's whole
 spectrum (`certified_spectrum`, behind `cached_spectrum`) is bisected on
 those counts and certified by Sturm counts at the bracket ends, so it
-equals the Sturm bisection of `eigenvalues_bisect` bit for bit.
+equals the Sturm bisection of `eigenvalues_bisect` bit for bit.  Production
+bisects on one loop, `_bisect_tree`; `eigenvalues_bisect` and its per-rank
+loop `_bisect_ranks` are the independent oracle, which no command runs.
 """
 
 import hashlib
@@ -27,7 +29,6 @@ _BLOCK_ROWS = 32
 _BLOCK_FLOATS = 1 << 17
 _COUNT_BLOCK = 1024  # energies per block of a lifted count
 _REPAIR_PROBES = 8  # probes on each side of a bracket that failed its certificate
-_CERTIFY_MIN_SITES = 128  # smaller boxes bisect faster on Sturm counts alone
 
 
 @dataclass(frozen=True)
@@ -153,8 +154,10 @@ def eigenvalues_bisect(m: TridiagMatrix, tol: float | None = None,
 
     The k-th smallest eigenvalue is bisected inside the Gershgorin interval
     until the bracket width is <= tol; all N bisections advance together on a
-    shared count evaluation.  It runs the per-rank loop `_bisect_ranks`, not
-    `_bisect_tree`, so this oracle stays independent of the loop it checks.
+    shared count evaluation.  The independent oracle of `certified_spectrum`:
+    tests compare against it and the benchmark tracer looks it up, but no
+    command calls it.  It runs the per-rank loop `_bisect_ranks`, not
+    `_bisect_tree`, so it stays independent of the loop it checks.
     """
     if tol is None:
         tol = _default_tol(m.diag)
@@ -170,9 +173,8 @@ def _bisect_ranks(count, ranks, lo, hi, tol):
 
     Rank k (1 = smallest) is bisected inside [lo, hi] on count(E) >= k; all
     brackets halve together, on one count call per step, until every one is
-    at most tol wide.  The eigenvalue is the bracket's midpoint.  Each call
-    counts one energy per rank, in rank order, so count may depend on the
-    rank as well as on the energy.
+    at most tol wide.  The eigenvalue is the bracket's midpoint.  Only the
+    oracle `eigenvalues_bisect` runs this loop.
     """
     lo = np.full(ranks.shape, lo)
     hi = np.full(ranks.shape, hi)
@@ -196,9 +198,8 @@ def _bisect_tree(count, ranks, lo, hi, tol):
     then descend those levels by lookup, testing the width before each
     halving as `_bisect_ranks` does.  The midpoints are the same doubles, so
     for an elementwise count (a function of the energy alone) the result
-    equals `_bisect_ranks`'s bit for bit.  Sturm bisection, in
-    `eigenvalues_bisect` and the repair of `certified_spectrum`, keeps the
-    per-rank loop, so the oracle does not share this one.
+    equals `_bisect_ranks`'s bit for bit.  Every production bisection runs
+    this loop; the oracle `eigenvalues_bisect` keeps the per-rank one.
     """
     shape, ranks = np.shape(ranks), np.ravel(ranks)
     lo = np.full(ranks.shape, lo)
@@ -325,7 +326,7 @@ class BoxCounter:
 
     @property
     def tol(self) -> float:
-        """The bisection tolerance eigenvalues_bisect uses by default."""
+        """The default bisection tolerance of the box."""
         return _default_tol(self.matrix.diag)
 
     def count(self, energies) -> np.ndarray:
@@ -378,36 +379,33 @@ def box_counter(p: ModelParams, start: int = 0) -> BoxCounter:
                       tuple(_pieces(len(lengths) - 1, s, s + p.n_sites, lengths)))
 
 
-def certified_spectrum(p: ModelParams, start: int = 0,
-                       tol: float | None = None) -> Spectrum1D:
+def certified_spectrum(p: ModelParams, start: int = 0) -> Spectrum1D:
     """All eigenvalues of the Fibonacci box, equal bit for bit to eigenvalues_bisect.
 
-    Propose: every rank 1..N is bisected on the box's lifted counts, from the
-    Gershgorin interval to tol, by `_bisect_tree`, whose brackets are those
-    of eigenvalues_bisect's loop on the same counts.  Certify: Sturm counts
-    at the distinct bracket ends, in passes of at most N energies, keep rank
-    k when sturm(lo_k) < k <= sturm(hi_k).  Repair: one more Sturm pass
-    probes each failed bracket widened by 1, 2, 4, ..., 128 widths on either
-    side, and the failed ranks are bisected on Sturm counts from the
-    Gershgorin interval, one energy per rank (`_bisect_ranks`).  There a
-    midpoint at or below a probe whose count is below k, or at or above one
-    whose count is at least k, takes that probe's count instead of a pass;
-    by monotonicity both decide the step alike.  When the repair halves a
-    different number of times than the lifted run, the box has no lifted
-    counts, or it has fewer than 128 sites, the result is eigenvalues_bisect
-    itself: below about 128 sites the lifted bisection's calls of O(log N)
-    products cost more than 41 Sturm passes.
+    Every box takes the same steps.  Propose: every rank 1..N is bisected on
+    the box's counts (`BoxCounter.count`, lifted or Sturm), from the
+    Gershgorin interval to the default tolerance, by `_bisect_tree`.
+    Certify: Sturm counts at the distinct bracket ends, in passes of at most
+    N energies, keep rank k when sturm(lo_k) < k <= sturm(hi_k).  Repair: one
+    more Sturm pass probes each failed bracket widened by 1, 2, 4, ..., 128
+    widths on either side, and `_bisect_tree` bisects the failed ranks again
+    on Sturm counts that depend on the energy alone: a probe's count, else the
+    count shared by the probes on both sides (padded by -inf at count 0 and
+    +inf at count N), which by monotonicity is the count between them, else a
+    Sturm pass.  When the repair halves a different number of times than the
+    proposal, every rank is bisected on those Sturm counts.
 
-    Why this is exact.  Every run's brackets, from either loop, are nodes of
-    one tree: the Gershgorin interval, split at 0.5 * (lo + hi).  If the Sturm
-    count is monotone in E, exactly one node per level satisfies the
-    certificate, and Sturm bisection of rank k passes through it.  A run
-    halves until every bracket is at most tol wide, so it stops at the largest
-    of its paths' stopping levels, each the level where that path's width
-    first drops to tol or below.  A certified bracket is a node of the Sturm
-    path, which therefore stops no later than the lifted run.  So when the
-    repair halves as often as the lifted run, so does Sturm bisection, and
-    every bracket is its bracket.
+    Why this is exact.  Every run's brackets are nodes of one tree: the
+    Gershgorin interval, split at 0.5 * (lo + hi).  If the Sturm count is
+    monotone in E, exactly one node per level satisfies the certificate, and
+    Sturm bisection of rank k passes through it.  A run halves until every
+    bracket is at most tol wide, so it stops at the largest of its paths'
+    stopping levels, each the level where that path's width first drops to
+    tol or below.  A certified bracket is a node of the Sturm path, which
+    therefore stops no later than the proposal.  So when the repair halves as
+    often as the proposal, so does Sturm bisection, and every bracket is its
+    bracket.  On an elementwise count `_bisect_tree` gives the brackets of
+    eigenvalues_bisect's per-rank loop bit for bit.
 
     Why the count is monotone (Kahan; Demmel-Dhillon-Ren 1995).  Order the
     states (c, d) of the pass (c negative pivots so far, d the last pivot)
@@ -424,11 +422,7 @@ def certified_spectrum(p: ModelParams, start: int = 0,
     bit.
     """
     counter = box_counter(p, start)
-    m = counter.matrix
-    if tol is None:
-        tol = counter.tol
-    if counter.backend == "sturm" or m.n < _CERTIFY_MIN_SITES or tol <= 0:
-        return eigenvalues_bisect(m, tol=tol, params=p)
+    m, tol = counter.matrix, counter.tol
     ranks = np.arange(1, m.n + 1)
     g_lo, g_hi = m.gershgorin()
     lo, hi, halvings = _bisect_tree(counter.count, ranks, g_lo, g_hi, tol)
@@ -438,31 +432,26 @@ def certified_spectrum(p: ModelParams, start: int = 0,
                              for part in np.array_split(ends, -(-ends.size // m.n))])
     bad = ~((counts[at[:m.n]] < ranks) & (ranks <= counts[at[m.n:]]))
     if bad.any():
-        # probes that widen each failed bracket by doubling, then, for each
-        # failed rank, the nearest probes with counts below k and at least k
         w = (hi - lo)[bad, None] * 2.0 ** np.arange(_REPAIR_PROBES)
         extra = np.concatenate([(lo[bad, None] - w).ravel(), (hi[bad, None] + w).ravel()])
-        probes = np.concatenate([ends, extra])
+        probes = np.concatenate([[-np.inf], ends, extra, [np.inf]])
         order = np.argsort(probes)
         probes = probes[order]
-        counts = np.concatenate([counts, sturm_count_batch(m, extra)])[order]
-        i = np.searchsorted(counts, ranks[bad])
-        j = np.minimum(i, probes.size - 1)
-        below = np.where(i > 0, probes[i - 1], -np.inf)
-        above = np.where(i < probes.size, probes[j], np.inf)
-        below_count, above_count = np.where(i > 0, counts[i - 1], 0), counts[j]
+        counts = np.concatenate([[0], counts, sturm_count_batch(m, extra), [m.n]])[order]
 
         def sturm(e):
-            c = np.where(e <= below, below_count, above_count)
-            open_ = (below < e) & (e < above)
+            i = np.searchsorted(probes, e)
+            c = np.where((probes[i] == e) | (counts[i - 1] == counts[i]), counts[i], -1)
+            open_ = c < 0
             if open_.any():
                 c[open_] = sturm_count_batch(m, e[open_])
             return c
 
-        lo_b, hi_b, fallback_halvings = _bisect_ranks(sturm, ranks[bad], g_lo, g_hi, tol)
-        if fallback_halvings != halvings:
-            return eigenvalues_bisect(m, tol=tol, params=p)
-        lo[bad], hi[bad] = lo_b, hi_b
+        lo_b, hi_b, repair_halvings = _bisect_tree(sturm, ranks[bad], g_lo, g_hi, tol)
+        if repair_halvings == halvings:
+            lo[bad], hi[bad] = lo_b, hi_b
+        else:
+            lo, hi, _ = _bisect_tree(sturm, ranks, g_lo, g_hi, tol)
     return Spectrum1D(np.sort(0.5 * (lo + hi)), params=p, tol=tol)
 
 
@@ -536,29 +525,27 @@ def _read_cached(path: Path, n: int) -> np.ndarray | None:
     return eigs
 
 
-def cached_spectrum(p: ModelParams, start: int = 0, tol: float | None = None,
+def cached_spectrum(p: ModelParams, start: int = 0,
                     cache_dir: str | os.PathLike | None = None) -> Spectrum1D:
     """Eigenvalues of the Fibonacci box, cached on disk when a dir is given.
 
     A miss, or a call with no cache, runs `certified_spectrum`, whose values
     are those of eigenvalues_bisect bit for bit, and so are the cache files.
     Cache files are sorted float64 arrays keyed by a content hash of
-    (lambda, omega, alpha, N, start, tol); the QUASISPEC_CACHE environment
-    variable supplies a default directory.  An unreadable cache file counts
-    as a miss and is replaced.
+    (lambda, omega, alpha, N, start, default tolerance); the QUASISPEC_CACHE
+    environment variable supplies a default directory.  An unreadable cache
+    file counts as a miss and is replaced.
     """
-    m = fibonacci_tridiag(p, start=start)
-    if tol is None:
-        tol = _default_tol(m.diag)
     if cache_dir is None:
         cache_dir = os.environ.get("QUASISPEC_CACHE")
     if cache_dir is None:
-        return certified_spectrum(p, start, tol)
+        return certified_spectrum(p, start)
+    tol = _default_tol(potential_vector(start, p))
     path = Path(cache_dir) / f"spectrum1d-{_cache_key(p, start, tol)}.npy"
     eigs = _read_cached(path, p.n_sites)
     if eigs is not None:
         return Spectrum1D(eigs, params=p, tol=tol)
-    spec = certified_spectrum(p, start, tol)
+    spec = certified_spectrum(p, start)
     with atomic_write(path) as fh:
         np.save(fh, spec.eigenvalues)
     return spec

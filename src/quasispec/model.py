@@ -8,14 +8,14 @@ circle-map coding.
 
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
 GOLDEN_CONJUGATE = (np.sqrt(5.0) - 1.0) / 2.0
 
-# frac values this close to the indicator edge 1-alpha are re-decided in
-# extended precision so the classification is deterministic
+# frac values this close to the indicator edge 1-alpha, or to the wrap point,
+# beyond the rounding of n*alpha + omega, are re-decided exactly
 _EDGE_WINDOW = 1e-12
 
 _MAX_SUBSTITUTION_DEPTH = 30
@@ -57,33 +57,36 @@ class ModelParams:
 
 
 def _frac_exact(n, alpha, omega):
-    """n*alpha + omega mod 1 evaluated exactly on the double inputs."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        t = Decimal(int(n)) * Decimal(alpha) + Decimal(omega)
-        return t - Decimal(int(t.to_integral_value(rounding="ROUND_FLOOR")))
+    """n*alpha + omega mod 1, exact on the double inputs (a Fraction)."""
+    t = int(n) * Fraction(alpha) + Fraction(omega)
+    return t - math.floor(t)
 
 
 def _indicator(n, alpha, omega):
-    t = (n * alpha + omega) % 1.0
-    edge = 1.0 - alpha
-    if abs(t - edge) < _EDGE_WINDOW:
-        # tie-break in extended precision; the exact value of the stored
-        # doubles decides the half-open membership
-        return _frac_exact(n, alpha, omega) >= (Decimal(1) - Decimal(alpha))
-    return t >= edge
+    """The letter at site n, decided exactly: frac(n*alpha + omega) >= 1 - alpha."""
+    return _frac_exact(n, alpha, omega) >= 1 - Fraction(alpha)
 
 
 def site_letters(start: int, p: ModelParams) -> np.ndarray:
-    """Letters on sites start .. start + n_sites - 1: True where the potential is lam."""
+    """Letters on sites start .. start + n_sites - 1: True where the potential is lam.
+
+    The float fraction of n*alpha + omega is off by at most about
+    spacing(|start| + N), so a site whose fraction lies within twice that
+    (plus _EDGE_WINDOW) of the edge 1 - alpha or of the wrap point 0 = 1 is
+    decided exactly by `_indicator`.  |start| + N must stay below 2^53,
+    where every site index is exact as a double.
+    """
+    reach = abs(start) + p.n_sites
+    if reach >= 2**53:
+        raise ParameterError("|start| + N must be below 2^53")
     idx = np.arange(start, start + p.n_sites, dtype=float)
     t = np.mod(idx * p.alpha + p.omega, 1.0)
     edge = 1.0 - p.alpha
+    window = _EDGE_WINDOW + 2.0 * np.spacing(float(reach + 1))
     hit = t >= edge
-    near = np.abs(t - edge) < _EDGE_WINDOW
-    if near.any():
-        for i in np.where(near)[0]:
-            hit[i] = _indicator(start + int(i), p.alpha, p.omega)
+    near = (np.abs(t - edge) < window) | (t < window) | (t > 1.0 - window)
+    for i in np.flatnonzero(near):
+        hit[i] = _indicator(start + int(i), p.alpha, p.omega)
     return hit
 
 

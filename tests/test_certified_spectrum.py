@@ -1,11 +1,11 @@
 """Box spectra bisected on lifted counts and certified by Sturm counts.
 
 `certified_spectrum` must return `eigenvalues_bisect`'s eigenvalues bit for
-bit: on every box, when the lifted counts are wrong at some midpoints (the
-failed ranks are bisected again on Sturm counts), and when that repair halves
-a different number of times (the result is `eigenvalues_bisect` itself).
-Boxes under `_CERTIFY_MIN_SITES` sites take `eigenvalues_bisect` directly;
-the tests lower that bound to 1 so that small boxes are certified too.
+bit: on every box, small and Sturm-backed ones too, when the lifted counts
+are wrong at some midpoints (the failed ranks are bisected again on Sturm
+counts), and when that repair halves a different number of times (every rank
+is bisected on Sturm counts).  All of it runs on the tree loop
+`_bisect_tree`; the per-rank loop `_bisect_ranks` belongs to the oracle.
 The argument rests on the Sturm count being monotone in the energy, which the
 last tests probe within a few hundred ulp of eigenvalues and at signed zeros.
 """
@@ -28,11 +28,6 @@ from quasispec.eigensolve import (
 from quasispec.model import ModelParams
 
 
-@pytest.fixture(autouse=True)
-def certify_every_box(monkeypatch):
-    monkeypatch.setattr(eigensolve, "_CERTIFY_MIN_SITES", 1)
-
-
 def no_lifted_count(self, e):
     raise AssertionError("a box bisected on lifted counts")
 
@@ -42,19 +37,17 @@ def sturm_spectrum(p, start=0):
 
 
 def spy_bisections(monkeypatch, halvings_shift=0):
-    """Record the size of each bisection run, by either loop (_bisect_tree or
-    _bisect_ranks); add halvings_shift to the second run's (the repair's) halvings."""
+    """Record the size of each bisection run of `_bisect_tree`; add
+    halvings_shift to the second run's (the repair's) halvings."""
     sizes = []
+    real = eigensolve._bisect_tree
 
-    def spy(real):
-        def run(count, ranks, lo, hi, tol):
-            sizes.append(ranks.size)
-            lo, hi, halvings = real(count, ranks, lo, hi, tol)
-            return lo, hi, halvings + (halvings_shift if len(sizes) == 2 else 0)
-        return run
+    def run(count, ranks, lo, hi, tol):
+        sizes.append(ranks.size)
+        lo, hi, halvings = real(count, ranks, lo, hi, tol)
+        return lo, hi, halvings + (halvings_shift if len(sizes) == 2 else 0)
 
-    for name in ("_bisect_tree", "_bisect_ranks"):
-        monkeypatch.setattr(eigensolve, name, spy(getattr(eigensolve, name)))
+    monkeypatch.setattr(eigensolve, "_bisect_tree", run)
     return sizes
 
 
@@ -69,7 +62,7 @@ def off_by_one_at_some_midpoints(monkeypatch):
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0, 4.0])
-@pytest.mark.parametrize("n", [1, 2, 3, 987, 1000, 4181])
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 127, 987, 1000, 4181])
 def test_certified_spectrum_equals_sturm_bisection(lam, n):
     rng = np.random.default_rng(int(10 * lam) + 7 * n)
     p = ModelParams(lam, omega=float(rng.uniform()), n_sites=n)
@@ -87,13 +80,6 @@ def test_sturm_backend_is_sturm_bisection(monkeypatch):
     assert np.array_equal(certified_spectrum(p, 5).eigenvalues, sturm_spectrum(p, 5))
 
 
-def test_small_boxes_are_sturm_bisection(monkeypatch):
-    monkeypatch.setattr(eigensolve, "_CERTIFY_MIN_SITES", 128)
-    monkeypatch.setattr(eigensolve.BoxCounter, "_lifted_count", no_lifted_count)
-    p = ModelParams(1.0, omega=0.37, n_sites=127)
-    assert np.array_equal(certified_spectrum(p, 2).eigenvalues, sturm_spectrum(p, 2))
-
-
 def test_wrong_lifted_counts_are_repaired_on_sturm_counts(monkeypatch):
     p = ModelParams(1.0, omega=0.37, n_sites=300)
     want = sturm_spectrum(p, 11)
@@ -104,13 +90,42 @@ def test_wrong_lifted_counts_are_repaired_on_sturm_counts(monkeypatch):
     assert len(sizes) == 2 and sizes[0] == 300 and 0 < sizes[1] < 300
 
 
-def test_repair_with_other_halvings_falls_back_to_eigenvalues_bisect(monkeypatch):
+def test_repair_with_other_halvings_bisects_every_rank_on_sturm_counts(monkeypatch):
     p = ModelParams(1.0, omega=0.37, n_sites=300)
     want = sturm_spectrum(p, 11)
     off_by_one_at_some_midpoints(monkeypatch)
     sizes = spy_bisections(monkeypatch, halvings_shift=1)
     assert np.array_equal(certified_spectrum(p, 11).eigenvalues, want)
     assert len(sizes) == 3 and sizes[2] == 300
+
+
+def other_halvings(monkeypatch):
+    off_by_one_at_some_midpoints(monkeypatch)
+    spy_bisections(monkeypatch, halvings_shift=1)
+
+
+# box, start, and what to patch before the run
+PRODUCTION_CASES = {
+    "repaired": (ModelParams(1.0, omega=0.37, n_sites=300), 11, off_by_one_at_some_midpoints),
+    "other-halvings": (ModelParams(1.0, omega=0.37, n_sites=300), 11, other_halvings),
+    "sturm-backed": (ModelParams(1.5, omega=0.2, alpha=0.3, n_sites=120), 5, None),
+    **{f"{n}-sites": (ModelParams(1.0, omega=0.37, n_sites=n), 2, None)
+       for n in (1, 2, 50, 127)},
+}
+
+
+@pytest.mark.parametrize("case", PRODUCTION_CASES)
+def test_production_never_runs_the_per_rank_loop(monkeypatch, case):
+    p, start, patch = PRODUCTION_CASES[case]
+    want = sturm_spectrum(p, start)
+
+    def refuse(*args):
+        raise AssertionError("the per-rank loop ran outside eigenvalues_bisect")
+
+    monkeypatch.setattr(eigensolve, "_bisect_ranks", refuse)
+    if patch is not None:
+        patch(monkeypatch)
+    assert np.array_equal(certified_spectrum(p, start).eigenvalues, want)
 
 
 def test_cache_holds_the_sturm_bisection_bytes(tmp_path, monkeypatch):
@@ -128,11 +143,6 @@ def test_cache_holds_the_sturm_bisection_bytes(tmp_path, monkeypatch):
     assert len(calls) == 2  # the miss and the uncached call; a hit computes nothing
     cached_spectrum(p, start=3, cache_dir=tmp_path)
     assert len(calls) == 2
-
-
-def test_tolerance_must_be_positive():
-    with pytest.raises(ValueError):
-        certified_spectrum(ModelParams(1.0, n_sites=10), tol=0.0)
 
 
 def counts_never_decrease(diag, energies):

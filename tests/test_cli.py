@@ -62,6 +62,14 @@ def test_ids_endpoints(tmp_path):
     assert np.all(np.diff(rows[:, 1]) >= 0)
 
 
+def test_ids_box_at_offset_1e11_is_a_factor_of_the_fibonacci_word(tmp_path):
+    # one of its sites rounded to the wrong letter, and the box fell back to Sturm counts
+    code, out = run(tmp_path, "ids", "--omega", "0.123456789", "--start", "100000000000",
+                    "--n", "20000", "--grid-points", "16")
+    assert code == 0
+    assert json.loads((out / "ids.manifest.json").read_text())["count_backend"] == "lifted"
+
+
 def test_tracemap_free_cover(tmp_path):
     code, out = run(tmp_path, "tracemap", "--lambda", "0", "--depth", "12",
                     "--max-iter", "200")
@@ -202,7 +210,9 @@ def test_parameter_cap_is_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--lambda", "nan"], ["--lambda", "inf"],
-                                   ["--lambda", "-1"], ["--n", "0"]])
+                                   ["--lambda", "-1"], ["--n", "0"],
+                                   ["--start", "9007199254740992", "--n", "10"],
+                                   ["--start", "-9007199254740983", "--n", "10"]])
 def test_invalid_model_parameter_is_usage_error(tmp_path, capsys, flags):
     code, out = run(tmp_path, "spectrum1d", "--n", "50", *flags)
     assert code == 2

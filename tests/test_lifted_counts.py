@@ -9,12 +9,13 @@ largest measured distance, found as the energies whose Sturm counts at
 E - GAP * scale and E + GAP * scale agree.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from quasispec import dos, eigensolve
+from quasispec import cli, dos, eigensolve
 from quasispec.cli import main
 from quasispec.eigensolve import (
     _bisect_ranks,
@@ -26,7 +27,7 @@ from quasispec.eigensolve import (
     fibonacci_tridiag,
     sturm_count_batch,
 )
-from quasispec.model import ModelParams
+from quasispec.model import GOLDEN_CONJUGATE, ModelParams
 
 GAP = 1e-10
 
@@ -173,11 +174,16 @@ def test_dimension_counts_the_balls_of_each_distinct_atom_once(monkeypatch):
 
 
 @pytest.mark.parametrize("command, csv", [("ids", "ids.csv"), ("dimension", "dimension.csv")])
-def test_manifests_name_the_count_backend(tmp_path, command, csv):
-    # at start 10^15 the phases n*alpha are coarse doubles and the letters
-    # are no factor of the Fibonacci word
-    for start, backend in (("0", "lifted"), ("1000000000000000", "sturm")):
-        out = tmp_path / start
+def test_manifests_name_the_count_backend(tmp_path, monkeypatch, command, csv):
+    # exact letters are a factor of the Fibonacci word at every offset, 10^15
+    # too; at the rotation number 0.3 (no flag sets it) they are not
+    real = cli._model
+    for start, alpha, backend in (("0", GOLDEN_CONJUGATE, "lifted"),
+                                  ("1000000000000000", GOLDEN_CONJUGATE, "lifted"),
+                                  ("0", 0.3, "sturm")):
+        monkeypatch.setattr(cli, "_model", lambda args, which=1, alpha=alpha:
+                            dataclasses.replace(real(args, which), alpha=alpha))
+        out = tmp_path / f"{start}-{alpha}"
         assert main([command, "--lambda", "1", "--n", "120", "--start", start,
                      "--out", str(out)]) == 0
         assert (out / csv).exists()

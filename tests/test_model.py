@@ -5,7 +5,10 @@ from quasispec.model import (
     GOLDEN_CONJUGATE,
     ModelParams,
     ParameterError,
+    _frac_exact,
+    _indicator,
     potential_vector,
+    site_letters,
     substitution_word,
 )
 
@@ -128,3 +131,29 @@ def test_edge_window_recomputation_is_stable():
         v2 = potential_vector(n, p)[0]
         assert v1 == v2
     assert GOLDEN_CONJUGATE == pytest.approx((np.sqrt(5) - 1) / 2, abs=0)
+
+
+@pytest.mark.parametrize("start", [0, -5000, 10**9, 10**11, 3 * 10**13, 10**15])
+def test_letters_equal_the_exact_indicator_at_large_offsets(start):
+    # the float fraction of n*alpha rounds by up to about n * 1.1e-16, so at
+    # large offsets some sites lie on the wrong side of the edge or the wrap
+    p = ModelParams(1.0, omega=0.123456789, n_sites=20000)
+    want = [_indicator(start + i, p.alpha, p.omega) for i in range(p.n_sites)]
+    assert site_letters(start, p).tolist() == want
+
+
+def test_site_near_the_wrap_point_at_offset_1e11():
+    # its float fraction rounds to 0.0 (letter 0); the exact one is 0.99999934
+    p = ModelParams(1.0, omega=0.123456789, n_sites=20000)
+    assert _frac_exact(100_000_016_507, p.alpha, p.omega) > 0.9999993
+    assert site_letters(10**11, p)[16507]
+
+
+def test_sites_from_2_to_53_are_a_parameter_error():
+    p = ModelParams(1.0, omega=0.31, n_sites=10)
+    for start in (2**53 - 10, -(2**53) + 10, 2**53):
+        with pytest.raises(ParameterError):
+            site_letters(start, p)
+    start = 2**53 - 11  # the last box of 10 sites below the bound
+    want = [_indicator(start + i, p.alpha, p.omega) for i in range(10)]
+    assert site_letters(start, p).tolist() == want
