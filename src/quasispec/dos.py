@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PAIR_CAP = 10**8  # convolution size guard
+BLOCK_PAIRS = 2**22  # pair sums formed at once by convolve and convolution_ball_mass
 MIN_SAMPLES = 100  # least atom sample of local_dimension
 
 
@@ -137,8 +138,20 @@ def cdf(m: AtomicMeasure, e: float) -> float:
     return float(m.mass_leq(e))
 
 
+def _check_pairs(a: AtomicMeasure, b: AtomicMeasure, pair_cap: int) -> None:
+    npairs = len(a) * len(b)
+    if npairs > pair_cap:
+        raise ValueError(f"convolution would produce {npairs} pairs, cap is {pair_cap}")
+
+
+def convolution_tol(a: AtomicMeasure, b: AtomicMeasure) -> float:
+    """Merge tolerance of a * b: the factors' own, or 1e-12 of the sums' span."""
+    span = (a.positions[-1] + b.positions[-1]) - (a.positions[0] + b.positions[0])
+    return max(a.merge_tol, b.merge_tol, 1e-12 * span)
+
+
 def convolve(a: AtomicMeasure, b: AtomicMeasure, pair_cap: int = PAIR_CAP,
-             block_pairs: int = 2**22) -> AtomicMeasure:
+             block_pairs: int = BLOCK_PAIRS) -> AtomicMeasure:
     """Exact convolution: atoms at all pairwise sums with product weights.
 
     Large products are generated in row blocks that are merged as they go,
@@ -147,29 +160,84 @@ def convolve(a: AtomicMeasure, b: AtomicMeasure, pair_cap: int = PAIR_CAP,
     factor has a single weight value, every pair weighs the same: no outer
     product is formed, and the merge sorts the sums alone.
     """
-    npairs = len(a) * len(b)
-    if npairs > pair_cap:
-        raise ValueError(f"convolution would produce {npairs} pairs, cap is {pair_cap}")
-    span = (a.positions[-1] + b.positions[-1]) - (a.positions[0] + b.positions[0])
-    tol = max(a.merge_tol, b.merge_tol, 1e-12 * span)
-    if npairs <= block_pairs:
+    _check_pairs(a, b, pair_cap)
+    tol = convolution_tol(a, b)
+    if len(a) * len(b) <= block_pairs:
         pos = np.add.outer(a.positions, b.positions).ravel()
         return merge_atoms(pos, _pair_weights(a.weights, b.weights), tol)
-    rows = max(1, block_pairs // len(b))
-    parts = []
-    for i in range(0, len(a), rows):
-        pos = np.add.outer(a.positions[i:i + rows], b.positions).ravel()
-        parts.append(_merge_arrays(pos, _pair_weights(a.weights[i:i + rows], b.weights), tol))
+    parts = [_merge_arrays(np.add.outer(a.positions[rows], b.positions).ravel(),
+                           _pair_weights(a.weights[rows], b.weights), tol)
+             for rows in _row_blocks(len(a), len(b), block_pairs)]
     pos = np.concatenate([p for p, _ in parts])
     w = np.concatenate([x for _, x in parts])
     return merge_atoms(pos, w, tol)
 
 
+def _row_blocks(na, nb, block_pairs):
+    """Slices of a's rows that pair with all of b in at most block_pairs pairs
+    (one row when a row alone is longer)."""
+    rows = max(1, block_pairs // nb)
+    return [slice(i, i + rows) for i in range(0, na, rows)]
+
+
+def convolution_ball_mass(a: AtomicMeasure, b: AtomicMeasure, x, radii) -> np.ndarray:
+    """Mass of each closed ball [x - r, x + r] under the unmerged a * b.
+
+    Returns an array of shape (len(radii), len(x)).  Every pair sum is an
+    atom of its own: nothing is merged, so a ball edge within the merge
+    tolerance of a sum counts that sum on the side where it lies, which
+    `convolve(a, b).ball_mass` may not.  The pair sums are formed in row
+    blocks of at most BLOCK_PAIRS, and each block is sorted once: the sums
+    alone when every pair weighs the same, else by argsort with the pair
+    weights' running sums.  Each block's counts at all 2 len(radii) len(x)
+    ball edges come from one searchsorted on the sorted edges, and are summed
+    over blocks.  Equal weights give a count times the one pair weight,
+    exact when that weight is a power of two; both ends are clipped to
+    [0, 1], as `AtomicMeasure.mass_leq` clips.
+    """
+    _check_pairs(a, b, PAIR_CAP)
+    x = np.asarray(x, dtype=float).ravel()
+    r = np.asarray(radii, dtype=float).ravel()[:, None]
+    lo, hi = (x - r).ravel(), (x + r).ravel()
+    lo_order, hi_order = np.argsort(lo), np.argsort(hi)
+    lo, hi = lo[lo_order], hi[hi_order]
+    equal = _pair_weight(a.weights, b.weights)
+    below = np.zeros(lo.size, dtype=float if equal is None else np.int64)
+    upto = np.zeros_like(below)
+    for rows in _row_blocks(len(a), len(b), BLOCK_PAIRS):
+        sums = np.add.outer(a.positions[rows], b.positions).ravel()
+        if equal is not None:
+            sums.sort()
+            below += sums.searchsorted(lo, "left")
+            upto += sums.searchsorted(hi, "right")
+        else:
+            order = np.argsort(sums)
+            cum = np.concatenate(([0.0], np.cumsum(_pair_weights(a.weights[rows],
+                                                                 b.weights)[order])))
+            sums = sums[order]
+            below += cum[sums.searchsorted(lo, "left")]
+            upto += cum[sums.searchsorted(hi, "right")]
+    if equal is not None:
+        below, upto = below * equal, upto * equal
+    mass = np.empty((2, lo.size))
+    mass[0, lo_order] = np.clip(below, 0.0, 1.0)
+    mass[1, hi_order] = np.clip(upto, 0.0, 1.0)
+    return (mass[1] - mass[0]).reshape(r.size, x.size)
+
+
+def _pair_weight(wa, wb):
+    """The one weight of every pair when each factor has a single weight, else None."""
+    if wa.min() == wa.max() and wb.min() == wb.max():
+        return wa[0] * wb[0]
+    return None
+
+
 def _pair_weights(wa, wb):
     """Flat product weights of all pairs, as np.multiply.outer gives them."""
-    if wa.min() == wa.max() and wb.min() == wb.max():
-        return np.full(wa.size * wb.size, wa[0] * wb[0])
-    return np.multiply.outer(wa, wb).ravel()
+    w = _pair_weight(wa, wb)
+    if w is None:
+        return np.multiply.outer(wa, wb).ravel()
+    return np.full(wa.size * wb.size, w)
 
 
 def sup_cdf_distance(a: AtomicMeasure, b: AtomicMeasure) -> float:

@@ -341,9 +341,13 @@ class BoxCounter:
         return out.reshape(e.shape)
 
     def _lifted_count(self, e):
-        words = [_letter(e, 0.0), _letter(e, self.lam)]
-        for _ in range(2, max(self.pieces) + 1):
-            words.append(_compose(words[-2], words[-1]))
+        # only the words that pieces names outlive the two the recursion needs
+        prev, cur = _letter(e, 0.0), _letter(e, self.lam)
+        words = {j: w for j, w in ((0, prev), (1, cur)) if j in self.pieces}
+        for j in range(2, max(self.pieces) + 1):
+            prev, cur = cur, _compose(prev, cur)
+            if j in self.pieces:
+                words[j] = cur
         acc = words[self.pieces[0]]
         for j in self.pieces[1:]:
             acc = _compose(words[j], acc)

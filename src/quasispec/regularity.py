@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .dos import AtomicMeasure, _slope_with_stderr, convolve
+from .dos import AtomicMeasure, _slope_with_stderr, convolution_ball_mass, convolution_tol
 from .model import ParameterError
 
 
@@ -313,20 +313,22 @@ def correlation_integral(eta: AtomicMeasure, nu: AtomicMeasure, radii,
 
     Draws x = y + z with y ~ eta, z ~ nu and averages (eta*nu)(B_r(x))/(2r);
     a bounded trend as r decreases is consistent with an L2 density, a
-    diverging trend flags singularity.
+    diverging trend flags singularity.  The ball masses are those of the
+    exact, unmerged convolution (`dos.convolution_ball_mass`), the one that
+    near_far_split sums pair by pair.  Radii below the convolution's merge
+    tolerance are refused: the convolution is atomic at that scale.
     """
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0) or np.any(np.diff(radii) >= 0):
         raise ValueError("radii must be positive and strictly decreasing")
     if sample_pairs < 1000:
         raise ValueError("need at least 1000 sample pairs")
-    conv = convolve(eta, nu)
-    if radii.min() < max(conv.merge_tol, 1e-15):
+    if radii.min() < max(convolution_tol(eta, nu), 1e-15):
         raise ValueError("radius below atom resolution of the convolution")
     rng = np.random.default_rng(seed)
     xs = eta.sample(sample_pairs, rng) + nu.sample(sample_pairs, rng)
-    return [(float(r), float(np.mean(conv.ball_mass(xs, r)) / (2.0 * r)))
-            for r in radii]
+    mass = convolution_ball_mass(eta, nu, xs, radii)
+    return [(float(r), float(np.mean(m) / (2.0 * r))) for r, m in zip(radii, mass)]
 
 
 def near_far_split(eta: AtomicMeasure, nu: AtomicMeasure, r: float,

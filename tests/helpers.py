@@ -3,13 +3,14 @@
 Scalar and inverse forms of what the package computes in bulk: the potential
 at one site, the inverse trace map, the projection of one word and the
 difference of two, the holdout checks of the fitted transversality bounds,
-the blocked all-pairs sumset, the atom merge by stable argsort, and the
-spectrum cover that probes every midpoint.
+the blocked all-pairs sumset, the atom merge by stable argsort, the
+correlation integral read off the merged convolution, and the spectrum cover
+that probes every midpoint.
 """
 
 import numpy as np
 
-from quasispec.dos import AtomicMeasure
+from quasispec.dos import AtomicMeasure, convolve
 from quasispec.intervals import IntervalSet, _merge
 from quasispec.model import ModelParams, _indicator
 from quasispec.regularity import (SymbolicSystem, _cd_step, _lambda_grid, _max_phi,
@@ -122,6 +123,26 @@ def argsort_merge(positions, weights, merge_tol):
     gp = np.add.reduceat(pos * w, groups[:-1]) / gw
     first, last = pos[groups[:-1]], pos[groups[1:] - 1]
     return np.where(gp < first, first, np.where(gp > last, last, gp)), gw
+
+
+def merged_ball_mass(a: AtomicMeasure, b: AtomicMeasure, x, radii) -> np.ndarray:
+    """(len(radii), len(x)) ball masses of the merged convolution convolve(a, b)."""
+    conv = convolve(a, b)
+    return np.array([conv.ball_mass(x, r) for r in radii])
+
+
+def merged_correlation_integral(eta: AtomicMeasure, nu: AtomicMeasure, radii,
+                                sample_pairs: int, seeds) -> list:
+    """correlation_integral at each seed, with every ball mass read off one
+    merged convolution convolve(eta, nu).  No argument checks."""
+    conv = convolve(eta, nu)
+    out = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        xs = eta.sample(sample_pairs, rng) + nu.sample(sample_pairs, rng)
+        out.append([(float(r), float(np.mean(conv.ball_mass(xs, r)) / (2.0 * r)))
+                    for r in np.asarray(radii, dtype=float)])
+    return out
 
 
 def allprobe_cover(lam, window=None, depth=12, max_iter=None, threshold=None) -> IntervalSet:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from quasispec import calibration
+from quasispec import calibration, dos
 from quasispec.dos import (
     AtomicMeasure,
     cantor_lebesgue,
     cdf,
+    convolution_ball_mass,
+    convolution_tol,
     convolve,
     empirical_measure,
     ids_curve,
@@ -20,7 +22,7 @@ from quasispec.dos import (
 from quasispec.eigensolve import eigenvalues_bisect, fibonacci_tridiag, sturm_count
 from quasispec.model import ModelParams
 
-from helpers import argsort_merge, uniform_measure
+from helpers import argsort_merge, merged_ball_mass, uniform_measure
 
 
 def delta(x=0.0):
@@ -84,7 +86,8 @@ def _cdf_distance_off_atoms(x, y, pad=1e-9):
     # the merge tolerance, so probes must stay clear of the atoms themselves
     union = np.union1d(x.positions, y.positions)
     gaps = np.diff(union) > 2 * pad
-    probes = 0.5 * (union[:-1][gaps] + union[1:][gaps])
+    probes = np.concatenate(([union[0] - 1.0], 0.5 * (union[:-1][gaps] + union[1:][gaps]),
+                             [union[-1] + 1.0]))
     return float(np.max(np.abs(x.mass_leq(probes) - y.mass_leq(probes))))
 
 
@@ -100,6 +103,31 @@ def test_convolution_commutes_and_associates():
     assert sup_cdf_distance(convolve(a, b), convolve(b, a)) < 1e-12
     assert _cdf_distance_off_atoms(convolve(convolve(a, b), c),
                                    convolve(a, convolve(b, c))) < 1e-10
+
+
+def test_convolution_property_commutes_and_associates():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # the sampled values give exact ties and sums closer than the merge tolerance
+    measure = st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1e-13, 2e-13]),
+                                 st.floats(-4.0, 4.0)),
+                       min_size=1, max_size=10, unique=True).flatmap(
+        lambda pos: st.tuples(st.just(sorted(pos)),
+                              st.lists(st.floats(0.1, 1.0), min_size=len(pos),
+                                       max_size=len(pos))))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(ms=st.tuples(measure, measure, measure))
+    def check(ms):
+        a, b, c = (AtomicMeasure(p, np.asarray(w) / np.sum(w)) for p, w in ms)
+        # each atom's weight is a sum of at most n products, summed again by cumsum
+        n = len(a) * len(b) * len(c)
+        bound = 4 * n * np.finfo(float).eps
+        assert _cdf_distance_off_atoms(convolve(a, b), convolve(b, a)) <= bound
+        assert _cdf_distance_off_atoms(convolve(convolve(a, b), c),
+                                       convolve(a, convolve(b, c))) <= bound
+
+    check()
 
 
 def test_convolution_mass_mean_variance():
@@ -133,6 +161,76 @@ def test_convolution_blocked_path_matches_single_pass():
         assert np.allclose(one.positions, blocked.positions, rtol=0, atol=1e-12)
         assert np.allclose(one.weights, blocked.weights, rtol=1e-12, atol=0)
         assert sup_cdf_distance(one, blocked) < 1e-12
+
+
+def _measure(rng, n, equal):
+    pos = np.unique(rng.normal(size=n))
+    w = np.ones(pos.size) if equal else rng.uniform(0.1, 1.0, pos.size)
+    return AtomicMeasure(pos, w / w.sum())
+
+
+def _edges_clear_of_sums(a, b, x, radii, clearance):
+    """(len(radii), len(x)) mask: both ball edges lie more than clearance
+    from every pair sum of a and b."""
+    sums = np.concatenate(([-np.inf], np.sort(np.add.outer(a.positions, b.positions).ravel()),
+                           [np.inf]))
+    r = np.asarray(radii)[:, None]
+    ok = np.ones((r.size, len(x)), dtype=bool)
+    for e in (x - r, x + r):
+        i = sums.searchsorted(e)
+        ok &= np.minimum(e - sums[i - 1], sums[i] - e) > clearance
+    return ok
+
+
+def test_convolution_ball_mass_matches_merged_convolution_off_the_sums():
+    rng = np.random.default_rng(11)
+    eps = np.finfo(float).eps
+    grid = uniform_measure(0.0, 1.0, 40)   # sums that tie up to rounding merge
+    for trial in range(24):
+        a = _measure(rng, int(rng.integers(1, 50)), equal=trial % 3 == 0)
+        b = grid if trial % 4 == 1 else _measure(rng, int(rng.integers(1, 50)), trial % 2 == 0)
+        sums = np.add.outer(a.positions, b.positions).ravel()
+        x = np.concatenate((rng.choice(sums, 100), rng.uniform(sums.min() - 1, sums.max() + 1, 100)))
+        radii = np.sort(rng.uniform(1e-3, 2.0, 4))[::-1]
+        ok = _edges_clear_of_sums(a, b, x, radii, convolution_tol(a, b))
+        assert ok.mean() > 0.5
+        got = convolution_ball_mass(a, b, x, radii)
+        ref = merged_ball_mass(a, b, x, radii)
+        assert got.shape == (4, 200)
+        assert np.all(np.abs(got - ref)[ok] <= len(a) * len(b) * eps)
+
+
+def test_convolution_ball_mass_blocks_match_one_block(monkeypatch):
+    rng = np.random.default_rng(8)
+    a = _measure(rng, 300, equal=False)
+    x = rng.uniform(-4.0, 5.0, 500)
+    radii = [1.0, 0.1, 0.01]
+    for b in (a, uniform_measure(0.0, 1.0, 300)):
+        one = convolution_ball_mass(a, b, x, radii)
+        for block in (7**4, 100):   # 8 rows per block; one row, longer than a block
+            monkeypatch.setattr(dos, "BLOCK_PAIRS", block)
+            blocked = convolution_ball_mass(a, b, x, radii)
+            monkeypatch.undo()
+            assert np.all(np.abs(blocked - one) <= len(a) * len(b) * np.finfo(float).eps)
+    u = uniform_measure(0.0, 1.0, 300)   # equal weights: the same counts in any blocks
+    one = convolution_ball_mass(u, u, x, radii)
+    monkeypatch.setattr(dos, "BLOCK_PAIRS", 7**4)
+    assert convolution_ball_mass(u, u, x, radii).tobytes() == one.tobytes()
+
+
+def test_convolution_ball_mass_of_one_atom_and_the_pair_cap():
+    x = np.array([0.75, 0.5, 1.0, 0.7, 0.0])
+    got = convolution_ball_mass(delta(0.5), delta(0.25), x, [0.25, 0.125])
+    # closed balls: the edges 0.5 and 1.0 of radius 0.25 hold the atom 0.75
+    assert got.tolist() == [[1.0, 1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0, 0.0]]
+    rng = np.random.default_rng(3)
+    a = _measure(rng, 30, equal=False)
+    x = rng.uniform(-3.0, 3.0, 50)
+    got = convolution_ball_mass(delta(), a, x, [0.5, 0.05])
+    assert got.tobytes() == np.array([a.ball_mass(x, 0.5), a.ball_mass(x, 0.05)]).tobytes()
+    u = uniform_measure(0.0, 1.0, 10**4 + 1)
+    with pytest.raises(ValueError, match="100020001 pairs, cap is 100000000"):
+        convolution_ball_mass(u, u, [0.5], [0.1])
 
 
 def test_sup_cdf_distance_cases():

@@ -18,6 +18,7 @@ from quasispec.regularity import (
 
 from helpers import (
     common_prefix_len,
+    merged_correlation_integral,
     phi,
     pi_lambda,
     uniform_measure,
@@ -207,6 +208,20 @@ def test_correlation_integral_atomic_divergence():
     est = correlation_integral(d, d, [0.5, 0.25, 0.125], 1000, seed=1)
     for r, v in est:
         assert v == pytest.approx(1.0 / (2 * r), abs=1e-12)
+
+
+def test_correlation_integral_equals_the_merged_convolution_bit_for_bit():
+    # the pair sums lie on the lattice (1 - ratio) ratio^(depth-1) Z, the ball
+    # edges x +- 2^-j off it, and count * 2^-2depth is exact, so the unmerged
+    # sums give the merged atoms' masses
+    radii = [2.0 ** -j for j in range(4, 10)]
+    for ratio in (1.0 / 3.0, 1.0 / 5.0):
+        for depth in range(4, 13):
+            eta = cantor_lebesgue(ratio, depth)
+            seeds = range(20 * depth, 20 * depth + (20 if depth <= 10 else 3))
+            ref = merged_correlation_integral(eta, eta, radii, 2000, seeds)
+            for seed, expected in zip(seeds, ref):
+                assert correlation_integral(eta, eta, radii, seed=seed) == expected
 
 
 def test_correlation_integral_validates():

@@ -45,6 +45,10 @@ COMMANDS = README + [
     ["dos2d", "--n", "200"],
     # sites near the wrap point of the circle, at a large offset
     ["ids", "--omega", "0.123456789", "--start", "100000000000", "--n", "20000"],
+] + [
+    # the benchmark's transversality ops: each built-in system at the default depth
+    ["regularity", "--system", system, "--seed", seed]
+    for system in ("middle-thirds", "fifth", "uniform") for seed in ("0", "1933")
 ]
 TIMING_FIELDS = ("duration_s", "written_at")
 
