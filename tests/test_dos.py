@@ -205,14 +205,15 @@ def test_convolution_ball_mass_blocks_match_one_block(monkeypatch):
     a = _measure(rng, 300, equal=False)
     x = rng.uniform(-4.0, 5.0, 500)
     radii = [1.0, 0.1, 0.01]
-    for b in (a, uniform_measure(0.0, 1.0, 300)):
+    u = uniform_measure(0.0, 1.0, 300)
+    for b in (a, u):
         one = convolution_ball_mass(a, b, x, radii)
         for block in (7**4, 100):   # 8 rows per block; one row, longer than a block
             monkeypatch.setattr(dos, "BLOCK_PAIRS", block)
             blocked = convolution_ball_mass(a, b, x, radii)
             monkeypatch.undo()
             assert np.all(np.abs(blocked - one) <= len(a) * len(b) * np.finfo(float).eps)
-    u = uniform_measure(0.0, 1.0, 300)   # equal weights: the same counts in any blocks
+    # equal weights: the same counts in any blocks
     one = convolution_ball_mass(u, u, x, radii)
     monkeypatch.setattr(dos, "BLOCK_PAIRS", 7**4)
     assert convolution_ball_mass(u, u, x, radii).tobytes() == one.tobytes()
